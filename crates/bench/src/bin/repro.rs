@@ -435,6 +435,20 @@ fn ablation() -> Result<(), String> {
 /// and bound (small instances only).
 fn optimality_gap() -> Result<(), String> {
     use pas_sched::optimal::{minimize_finish_time, OptimalConfig};
+    // The single-budget search, unobserved.
+    let exact = |problem: &pas_core::Problem| {
+        minimize_finish_time(
+            problem.graph(),
+            problem.constraints().p_max(),
+            problem.background_power(),
+            &OptimalConfig::default(),
+            None,
+            0,
+            &mut pas_obs::NullObserver,
+        )
+        .0
+        .map_err(|e| e.to_string())
+    };
     println!("---- Optimality gap (heuristic vs exhaustive B&B) ----");
 
     let (mut example, _) = pas_core::example::paper_example();
@@ -442,13 +456,7 @@ fn optimality_gap() -> Result<(), String> {
         .schedule(&mut example)
         .map_err(|e| e.to_string())?;
     let (fresh, _) = pas_core::example::paper_example();
-    let best = minimize_finish_time(
-        fresh.graph(),
-        fresh.constraints().p_max(),
-        fresh.background_power(),
-        &OptimalConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let best = exact(&fresh)?;
     println!(
         "paper example: heuristic tau={} vs optimal tau={} ({} nodes explored)",
         heuristic.analysis.finish_time, best.finish_time, best.nodes_explored
@@ -459,14 +467,7 @@ fn optimality_gap() -> Result<(), String> {
         let heuristic = PowerAwareScheduler::default()
             .schedule(&mut rover.problem)
             .map_err(|e| e.to_string())?;
-        let fresh = build_rover_problem(case, 1);
-        let best = minimize_finish_time(
-            fresh.problem.graph(),
-            fresh.problem.constraints().p_max(),
-            fresh.problem.background_power(),
-            &OptimalConfig::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let best = exact(&build_rover_problem(case, 1).problem)?;
         println!(
             "rover {:8} heuristic tau={} vs optimal tau={} ({} nodes explored)",
             case.label(),

@@ -76,18 +76,19 @@
 //! through the parser before writing; `lint --explain PASnnn`
 //! prints the extended rustc-style help for one code.
 //!
-//! `profile` sweeps the exact branch-and-bound over a list of thread
-//! counts and reports, per count, the measured wall time, per-worker
+//! `profile` sweeps the frontier-split exact branch-and-bound over a
+//! list of thread counts and reports, per count, the worker threads
+//! the pool actually spawned, the measured wall time, per-worker
 //! busy/idle fractions, the prune-reason breakdown, and per-branch
 //! budget utilization — then runs an explicit heuristic over the
-//! evidence to name the dominant cause of any parallel regression
-//! (oversubscription, frontier shortage, budget skew, shared-bound
-//! contention, or generic starvation). The search telemetry is
-//! deterministic (node-count-sampled, DESIGN.md §12/§13), and the
-//! command cross-checks that the trace is byte-identical at every
-//! thread count; wall-clock and contention numbers come from the
-//! `pas-par` side channel and are never traced. Results are written
-//! as `BENCH_profile.json`.
+//! evidence to name the dominant cause of any parallel regression (a
+//! pool capped below the requested workers, frontier shortage, budget
+//! skew, or generic starvation). The search telemetry is deterministic
+//! (node-count-sampled, DESIGN.md §12/§13), and the command
+//! cross-checks that the trace is byte-identical at every thread
+//! count; wall-clock numbers come from the `pas-par` side channel
+//! (`PoolProfile`) and are never traced. Results are written as
+//! `BENCH_profile.json` (schema `impacct-profile/v2`).
 //!
 //! `serve` boots the `pas-server` daemon (see that crate's docs for
 //! the endpoint surface) and blocks until SIGTERM or
@@ -713,17 +714,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 struct SweepPoint {
     threads: usize,
     outcome: String,
-    wall_s: f64,
     nodes: u64,
     prunes: [u64; 5],
     max_depth: u32,
     budget_utilization: f64,
     branch_nodes: Vec<u64>,
-    workers: Vec<pas_sched::WorkerProfile>,
-    pool_wall: std::time::Duration,
-    shared_wall_s: f64,
-    shared: pas_sched::SharedMinStats,
+    /// The branch fan-out's wall clock, one entry per spawned worker.
+    pool: pas_sched::PoolProfile,
 }
+
+/// What the profile report says the `dominance` prune counter holds.
+const DOMINANCE_PRUNES_NOTE: &str = "symmetry skips (--dominance) plus infeasible placements \
+                                     (edge-window, resource and power-budget rejections)";
 
 /// Coefficient of variation (stddev / mean) of per-branch node
 /// counts — the budget-skew signal. `0.0` for fewer than two branches.
@@ -777,25 +779,16 @@ fn json_escape(s: &str) -> String {
 /// `(cause, explanation)`.
 fn diagnose(point: &SweepPoint, available: usize, frontier: usize) -> (String, String) {
     let threads = point.threads;
-    let idle: f64 = if point.workers.is_empty() {
-        0.0
-    } else {
-        point
-            .workers
-            .iter()
-            .map(|w| w.idle_fraction(point.pool_wall))
-            .sum::<f64>()
-            / point.workers.len() as f64
-    };
+    let spawned = point.pool.workers.len();
+    let idle = point.pool.mean_idle_fraction();
     let cov = nodes_cov(&point.branch_nodes);
-    let contention = point.shared.contention_rate();
-    let staleness = point.shared.staleness_rate();
-    if available < threads {
+    if spawned < threads.min(frontier) {
         return (
-            "oversubscription".into(),
+            "pool-capped".into(),
             format!(
-                "the host exposes {available} hardware thread(s) but the sweep asked for \
-                 {threads}; extra workers time-slice cores instead of adding throughput"
+                "the sweep requested {threads} workers but the pool spawned {spawned}: \
+                 pas-par never spawns more threads than the host's available parallelism \
+                 ({available}), so the requested workers beyond it do not exist"
             ),
         );
     }
@@ -803,9 +796,10 @@ fn diagnose(point: &SweepPoint, available: usize, frontier: usize) -> (String, S
         return (
             "frontier-shortage".into(),
             format!(
-                "the depth-0 frontier has only {frontier} branch(es) for {threads} workers; \
-                 {excess} worker(s) have no work by construction (mean idle {idle:.0}%)",
-                excess = threads - frontier,
+                "the depth-0 frontier has only {frontier} branch(es) for {threads} requested \
+                 workers; the pool spawned {spawned} and the other {excess} have no branch to \
+                 run (mean idle {idle:.0}%)",
+                excess = threads - spawned,
                 idle = idle * 100.0
             ),
         );
@@ -821,18 +815,6 @@ fn diagnose(point: &SweepPoint, available: usize, frontier: usize) -> (String, S
             ),
         );
     }
-    if staleness > 0.25 || contention > 0.05 {
-        return (
-            "contention".into(),
-            format!(
-                "the shared incumbent bound shows {staleness:.0}% wasted refinements and \
-                 {cas:.2} failed CAS per refine: workers duplicate discovery work off \
-                 stale bounds",
-                staleness = staleness * 100.0,
-                cas = contention
-            ),
-        );
-    }
     if idle > 0.5 {
         return (
             "idle-starvation".into(),
@@ -845,12 +827,12 @@ fn diagnose(point: &SweepPoint, available: usize, frontier: usize) -> (String, S
     }
     (
         "none".into(),
-        "workers stay busy, branch sizes are balanced, and the shared bound is quiet".into(),
+        "workers stay busy and branch sizes are balanced".into(),
     )
 }
 
-/// `profile` — threads sweep over the exact B&B with the search
-/// telemetry and the `pas-par` wall-clock side channel, plus the
+/// `profile` — threads sweep over the frontier-split exact B&B with
+/// the search telemetry and the `pas-par` wall-clock side channel, plus the
 /// dominant-cause heuristic. See the module docs for the report's
 /// shape.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
@@ -939,14 +921,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut reference_trace: Option<Vec<pas_obs::TraceEvent>> = None;
     let mut points: Vec<SweepPoint> = Vec::new();
     for &threads in &threads_list {
-        // Deterministic partitioned search: telemetry + pool profile.
+        // Deterministic frontier-split search: telemetry + pool profile.
         let mut rec = pas_obs::RecordingObserver::new();
-        let (result, pool) = pas_sched::optimal::minimize_finish_time_partitioned_profiled(
+        let (result, pool) = pas_sched::optimal::minimize_finish_time(
             graph,
             p_max,
             background,
             &config,
-            threads,
+            Some(threads),
             sample_every,
             &mut rec,
         );
@@ -994,20 +976,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             }
         }
 
-        // Shared-bound probe: contention evidence (nondeterministic
-        // side channel, never traced).
-        let shared_started = std::time::Instant::now();
-        let (shared_result, shared_stats, _shared_pool) =
-            pas_sched::optimal::minimize_finish_time_parallel_profiled(
-                graph, p_max, background, &config, threads,
-            );
-        let shared_wall_s = shared_started.elapsed().as_secs_f64();
-        drop(shared_result);
-
         points.push(SweepPoint {
             threads,
             outcome: outcome_label(&result),
-            wall_s: pool.wall.as_secs_f64(),
             nodes,
             prunes,
             max_depth,
@@ -1017,10 +988,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 nodes as f64 / budget_total as f64
             },
             branch_nodes,
-            workers: pool.workers.clone(),
-            pool_wall: pool.wall,
-            shared_wall_s,
-            shared: shared_stats,
+            pool,
         });
     }
 
@@ -1029,40 +997,33 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         .iter()
         .max_by_key(|p| p.threads)
         .expect("at least one thread count");
+    let wall_s = |p: &SweepPoint| p.pool.wall.as_secs_f64();
     let best_other_wall = points
         .iter()
         .filter(|p| p.threads < max_point.threads)
-        .map(|p| p.wall_s)
+        .map(wall_s)
         .fold(f64::INFINITY, f64::min);
-    let regression = best_other_wall.is_finite() && max_point.wall_s > best_other_wall * 1.05;
+    let regression = best_other_wall.is_finite() && wall_s(max_point) > best_other_wall * 1.05;
     let (cause, explanation) = diagnose(max_point, available, frontier);
 
     if !quiet {
-        println!("profile: {model} ({} tasks, frontier {frontier}, max_nodes {max_nodes}, host parallelism {available}, lint bounds {})",
-                 graph.num_tasks(), if lint_bounds { "on" } else { "off" });
+        let on_off = |flag: bool| if flag { "on" } else { "off" };
+        println!("profile: {model} ({} tasks, frontier {frontier}, max_nodes {max_nodes}, host parallelism {available}, lint bounds {}, dominance {})",
+                 graph.num_tasks(), on_off(lint_bounds), on_off(dominance));
         println!(
-            "{:>8} {:>10} {:>12} {:>10} {:>10} {:>12} {:>12}",
-            "threads", "wall s", "nodes", "outcome", "idle %", "budget use", "staleness %"
+            "{:>8} {:>8} {:>10} {:>12} {:>10} {:>10} {:>12}",
+            "threads", "spawned", "wall s", "nodes", "outcome", "idle %", "budget use"
         );
         for p in &points {
-            let idle = if p.workers.is_empty() {
-                0.0
-            } else {
-                p.workers
-                    .iter()
-                    .map(|w| w.idle_fraction(p.pool_wall))
-                    .sum::<f64>()
-                    / p.workers.len() as f64
-            };
             println!(
-                "{:>8} {:>10.3} {:>12} {:>10} {:>9.0}% {:>11.0}% {:>11.0}%",
+                "{:>8} {:>8} {:>10.3} {:>12} {:>10} {:>9.0}% {:>11.0}%",
                 p.threads,
-                p.wall_s,
+                p.pool.workers.len(),
+                wall_s(p),
                 p.nodes,
                 p.outcome,
-                idle * 100.0,
+                p.pool.mean_idle_fraction() * 100.0,
                 p.budget_utilization * 100.0,
-                p.shared.staleness_rate() * 100.0,
             );
         }
         println!(
@@ -1073,21 +1034,24 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             max_point.prunes[3],
             max_point.prunes[4]
         );
+        println!("  dominance = {DOMINANCE_PRUNES_NOTE}");
         println!("per-worker accounting at {} thread(s):", max_point.threads);
-        for w in &max_point.workers {
+        for w in &max_point.pool.workers {
             println!(
                 "  worker {:>2}: items={:>4} busy={:>8.3}s wait={:>8.3}s busy_fraction={:.2}",
                 w.worker,
                 w.items,
                 w.busy.as_secs_f64(),
                 w.wait.as_secs_f64(),
-                w.busy_fraction(max_point.pool_wall),
+                w.busy_fraction(max_point.pool.wall),
             );
         }
         if regression {
             println!(
                 "regression: wall at {} thread(s) ({:.3}s) exceeds the best smaller-count wall ({:.3}s)",
-                max_point.threads, max_point.wall_s, best_other_wall
+                max_point.threads,
+                wall_s(max_point),
+                best_other_wall
             );
         }
         println!("dominant cause: {cause} — {explanation}");
@@ -1129,6 +1093,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut rows = Vec::new();
     for p in &points {
         let workers = p
+            .pool
             .workers
             .iter()
             .map(|w| {
@@ -1141,8 +1106,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                     w.items,
                     w.busy.as_secs_f64(),
                     w.wait.as_secs_f64(),
-                    w.busy_fraction(p.pool_wall),
-                    w.idle_fraction(p.pool_wall),
+                    w.busy_fraction(p.pool.wall),
+                    w.idle_fraction(p.pool.wall),
                 )
             })
             .collect::<Vec<_>>()
@@ -1156,19 +1121,15 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         rows.push(format!(
             concat!(
                 "    {{\"threads\": {}, \"outcome\": \"{}\", \"wall_s\": {:.6}, ",
-                "\"shared_bound_wall_s\": {:.6}, \"nodes\": {}, \"max_depth\": {}, ",
+                "\"nodes\": {}, \"max_depth\": {}, ",
                 "\"prunes\": {{\"incumbent\": {}, \"dominance\": {}, \"horizon\": {}, ",
                 "\"budget\": {}, \"bound\": {}}}, \"budget_utilization\": {:.4}, ",
                 "\"branch_nodes\": [{}], \"branch_nodes_cov\": {:.4}, ",
-                "\"shared_min\": {{\"refine_calls\": {}, \"refine_wins\": {}, ",
-                "\"stale_refines\": {}, \"lost_races\": {}, \"cas_failures\": {}, ",
-                "\"get_calls\": {}, \"contention_rate\": {:.4}, \"staleness_rate\": {:.4}}}, ",
                 "\"workers\": [{}]}}"
             ),
             p.threads,
             json_escape(&p.outcome),
-            p.wall_s,
-            p.shared_wall_s,
+            wall_s(p),
             p.nodes,
             p.max_depth,
             p.prunes[0],
@@ -1179,22 +1140,15 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             p.budget_utilization,
             branch_nodes,
             nodes_cov(&p.branch_nodes),
-            p.shared.refine_calls,
-            p.shared.refine_wins,
-            p.shared.stale_refines,
-            p.shared.lost_races,
-            p.shared.cas_failures,
-            p.shared.get_calls,
-            p.shared.contention_rate(),
-            p.shared.staleness_rate(),
             workers,
         ));
     }
     let json = format!(
         concat!(
-            "{{\n  \"schema\": \"impacct-profile/v1\",\n  {},\n  \"model\": \"{}\",\n",
+            "{{\n  \"schema\": \"impacct-profile/v2\",\n  {},\n  \"model\": \"{}\",\n",
             "  \"tasks\": {},\n  \"frontier\": {},\n  \"available_parallelism\": {},\n",
             "  \"max_nodes\": {},\n  \"sample_every\": {},\n  \"lint_bounds\": {},\n",
+            "  \"dominance\": {},\n  \"prune_notes\": {{\"dominance\": \"{}\"}},\n",
             "  \"sweep\": [\n{}\n  ],\n",
             "  \"diagnosis\": {{\"regression_at_max_threads\": {}, ",
             "\"dominant_cause\": \"{}\", \"explanation\": \"{}\"}}\n}}\n"
@@ -1207,6 +1161,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         max_nodes,
         sample_every,
         lint_bounds,
+        dominance,
+        json_escape(DOMINANCE_PRUNES_NOTE),
         rows.join(",\n"),
         regression,
         json_escape(&cause),

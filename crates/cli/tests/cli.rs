@@ -387,3 +387,75 @@ fn metrics_and_chrome_trace_files_are_written() {
     assert!(chrome_text.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
     assert!(chrome_text.contains("\"ph\":\"X\""));
 }
+
+#[test]
+fn profile_writes_the_v2_report() {
+    let problem = write_temp("p13.pasdl", PROBLEM);
+    let report = problem.with_extension("profile.json");
+    let out = run(&[
+        "profile",
+        problem.to_str().unwrap(),
+        "--threads-list",
+        "1,2",
+        "--max-nodes",
+        "2000",
+        "--quiet",
+        "--out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let json = std::fs::read_to_string(&report).unwrap();
+    assert!(
+        json.contains("\"schema\": \"impacct-profile/v2\""),
+        "{json}"
+    );
+    for key in [
+        "model",
+        "tasks",
+        "frontier",
+        "available_parallelism",
+        "max_nodes",
+        "sample_every",
+        "lint_bounds",
+        "dominance",
+        "prune_notes",
+        "sweep",
+        "diagnosis",
+        "wall_s",
+        "prunes",
+        "budget_utilization",
+        "branch_nodes_cov",
+        "workers",
+        "busy_fraction",
+    ] {
+        assert!(
+            json.contains(&format!("\"{key}\": ")),
+            "missing {key}: {json}"
+        );
+    }
+    assert!(!json.contains("shared_min"), "{json}");
+    assert!(!json.contains("shared_bound_wall_s"), "{json}");
+    assert_eq!(json.matches("{\"threads\": ").count(), 2, "{json}");
+
+    let cause = json
+        .split("\"dominant_cause\": \"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .expect("a dominant cause");
+    assert!(
+        [
+            "pool-capped",
+            "frontier-shortage",
+            "budget-skew",
+            "idle-starvation",
+            "none"
+        ]
+        .contains(&cause),
+        "unexpected cause {cause:?}"
+    );
+}

@@ -467,11 +467,10 @@ pub enum TraceEvent {
         worker: u32,
         /// Total nodes expanded.
         nodes: u64,
-        /// Subtrees cut because they could not beat the incumbent
-        /// (or the shared bound in partitioned searches).
+        /// Subtrees cut because they could not beat the incumbent.
         pruned_incumbent: u64,
-        /// Candidate placements skipped by dominance/feasibility
-        /// checks.
+        /// Candidate placements skipped by the symmetry rule or
+        /// rejected as infeasible.
         pruned_dominance: u64,
         /// Candidate start times past the optimality horizon.
         pruned_horizon: u64,

@@ -22,13 +22,16 @@
 //! ablation benches can flip them. All randomized heuristics are
 //! seeded: runs are fully deterministic.
 //!
-//! Every algorithm also exists in an `_observed` variant (and the
-//! pipeline facade in `_with` variants) generic over a
+//! The three stage algorithms also exist in `_observed` variants (and
+//! the pipeline facade in `_with` variants) generic over a
 //! [`pas_obs::Observer`], emitting a structured [`pas_obs::TraceEvent`]
 //! at each algorithmic decision. The plain entry points are thin
 //! wrappers that derive their [`SchedulerStats`] from a
-//! [`pas_obs::CountingObserver`]; observation never perturbs the
-//! computed schedule.
+//! [`pas_obs::CountingObserver`]. The exact search,
+//! [`optimal::minimize_finish_time`], is one function that takes its
+//! observer directly (unobserved callers pass
+//! [`pas_obs::NullObserver`]). Observation never perturbs the computed
+//! schedule.
 //!
 //! ## Example
 //!
@@ -74,7 +77,7 @@ pub use max_power::{schedule_max_power, schedule_max_power_observed};
 pub use min_power::{
     improve_gaps, improve_gaps_observed, schedule_min_power, schedule_min_power_observed,
 };
-pub use pas_par::{Parallelism, PoolProfile, SharedMinStats, WorkerProfile};
+pub use pas_par::{Parallelism, PoolProfile, WorkerProfile};
 pub use pipeline::{Outcome, PowerAwareScheduler, StageOutcomes};
 pub use runtime::{RepertoireEntry, ScheduleRepertoire, ValidityRegion};
 pub use session::SessionContext;

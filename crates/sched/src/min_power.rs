@@ -253,7 +253,7 @@ pub fn improve_gaps_observed<O: Observer>(
                 // and rejecting exactly the ones before it —
                 // reproduces the sequential decisions and trace
                 // bit-for-bit (DESIGN.md §12).
-                let evals = pas_par::par_map(workers, pairs, |_, (v, delta)| {
+                let (evals, _) = pas_par::par_map(workers, pairs, |_, (v, delta)| {
                     evaluate_candidate(
                         graph,
                         &sigma,

@@ -23,7 +23,7 @@ use pas_graph::longest_path::single_source_longest_paths;
 use pas_graph::units::{Power, Time, TimeSpan};
 use pas_graph::{ConstraintGraph, NodeId, TaskId};
 use pas_obs::{Observer, TraceEvent};
-use pas_par::SharedMin;
+use pas_par::PoolProfile;
 
 /// Limits for the exhaustive search.
 #[derive(Debug, Clone, Copy)]
@@ -107,16 +107,12 @@ fn lint_search_bounds(
     Some((bounds.makespan_lb, bounds.tails))
 }
 
-/// What one depth-0 branch of a fanned-out search returns: the best
-/// `(finish, starts)` it found (if any), its explored-node count, and
-/// its search counters.
-type BranchResult = Result<(Option<(Time, Vec<Time>)>, u64, SearchStats), ScheduleError>;
-
-/// What one branch of an *observed* search returns: its result plus
-/// the telemetry it buffered (kept even when the branch errors, so
-/// budget exhaustion still shows up in the trace).
-struct ObservedBranch {
-    result: BranchResult,
+/// What one branch of a search returns: its best `(finish, starts)`
+/// (if any) or its error, its counters, and the telemetry it buffered
+/// (kept even when the branch errors, so budget exhaustion still shows
+/// up in the trace).
+struct Branch {
+    result: Result<Option<(Time, Vec<Time>)>, ScheduleError>,
     stats: SearchStats,
     log: Vec<TraceEvent>,
 }
@@ -128,14 +124,11 @@ pub struct OptimalOutcome {
     pub schedule: Schedule,
     /// Its finish time.
     pub finish_time: Time,
-    /// Search nodes explored.
+    /// Search nodes explored (with a frontier split: every branch's
+    /// nodes plus the root).
     pub nodes_explored: u64,
-    /// Search counters (nodes, prunes by reason, depth, budget). For
-    /// the sequential and partitioned variants these are a pure
-    /// function of the problem; for the shared-bound parallel variant
-    /// they are timing-dependent, like
-    /// [`OptimalOutcome::nodes_explored`], and must not be folded into
-    /// reproducible output.
+    /// Search counters (nodes, prunes by reason, depth, budget) — a
+    /// pure function of the problem, the configuration and the split.
     pub stats: SearchStats,
 }
 
@@ -143,20 +136,60 @@ pub struct OptimalOutcome {
 /// constraints, resource serialization, and the `p_max` budget, by
 /// exhaustive branch and bound.
 ///
+/// `split` picks how the search spends `config.max_nodes`:
+///
+/// * `None` — one search over the whole tree under one global budget.
+/// * `Some(workers)` — the depth-0 frontier (every topologically ready
+///   task at its constraint lower bound, in task order) is split into
+///   independent branches, the budget is divided evenly among them,
+///   and the branches run on up to `workers` threads (inline at 1).
+///   Branches share no state, so every branch's node count — and with
+///   it the success-or-exhaustion outcome — is a pure function of the
+///   problem, identical at every `workers` value. The portfolio's exact
+///   attempt runs this mode at every parallelism setting so
+///   `schedule_portfolio` stays bit-identical across thread counts even
+///   on instances that blow the budget (`DESIGN.md` §12).
+///
+/// On success both modes return the same schedule: the first complete
+/// assignment, in depth-first order, that achieves the minimum finish
+/// time (branch winners are reduced in frontier order by strict
+/// finish-time improvement).
+///
+/// When `obs` is enabled, each branch (the whole tree is branch 0
+/// without a split) buffers a [`TraceEvent::SearchSample`] every
+/// `sample_every` nodes (0 = unsampled) and a
+/// [`TraceEvent::IncumbentImproved`] per incumbent; the buffers are
+/// replayed in frontier order after the join, each followed by the
+/// branch's [`TraceEvent::SearchStatsRecorded`] carrying its slice of
+/// the budget — also when the search fails, so the trace explains the
+/// failure. Sampling is node-count-triggered, never wall-clock, so the
+/// stream is identical at every `workers` value. Observation never
+/// perturbs the search: pass [`pas_obs::NullObserver`] to run
+/// unobserved and get the same schedule, node count and counters.
+///
+/// The returned [`PoolProfile`] is the wall-clock side channel of the
+/// branch fan-out (per-worker busy/wait time). It is nondeterministic
+/// by nature and must never be folded into traces or reproducible
+/// output (`DESIGN.md` §12).
+///
 /// # Errors
 /// * [`ScheduleError::Infeasible`] when the timing constraints alone
 ///   are unsatisfiable;
 /// * [`ScheduleError::SpikeUnresolvable`] when some single task
 ///   exceeds the budget or no power-valid schedule exists within the
 ///   horizon;
-/// * [`ScheduleError::TimingSearchExhausted`] when `max_nodes` is hit
-///   before the search completes (the incumbent, if any, is lost —
-///   callers wanting anytime behaviour should raise the cap).
+/// * [`ScheduleError::TimingSearchExhausted`] when the node budget is
+///   hit before the search completes (the incumbent, if any, is lost —
+///   callers wanting anytime behaviour should raise the cap). With a
+///   split, when any branch exceeds `max_nodes / frontier_len` nodes:
+///   the boundary differs from the single-budget search's, but it is
+///   the same at every `workers` value.
 ///
 /// # Examples
 /// ```
 /// use pas_graph::units::{Power, TimeSpan};
 /// use pas_graph::{ConstraintGraph, Resource, ResourceKind, Task};
+/// use pas_obs::NullObserver;
 /// use pas_sched::optimal::{minimize_finish_time, OptimalConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -166,519 +199,137 @@ pub struct OptimalOutcome {
 /// g.add_task(Task::new("a", r0, TimeSpan::from_secs(4), Power::from_watts(6)));
 /// g.add_task(Task::new("b", r1, TimeSpan::from_secs(4), Power::from_watts(6)));
 /// // 8 W budget: they must run back to back → optimum is 8 s.
-/// let best = minimize_finish_time(&g, Power::from_watts(8), Power::ZERO,
-///                                 &OptimalConfig::default())?;
-/// assert_eq!(best.finish_time.as_secs(), 8);
+/// let (best, _pool) = minimize_finish_time(&g, Power::from_watts(8), Power::ZERO,
+///                                          &OptimalConfig::default(), None, 0,
+///                                          &mut NullObserver);
+/// assert_eq!(best?.finish_time.as_secs(), 8);
 /// # Ok(())
 /// # }
 /// ```
-pub fn minimize_finish_time(
+pub fn minimize_finish_time<O: Observer + ?Sized>(
     graph: &ConstraintGraph,
     p_max: Power,
     background: Power,
     config: &OptimalConfig,
-) -> Result<OptimalOutcome, ScheduleError> {
-    let Some(horizon) = prepare(graph, p_max, background, config)? else {
-        return Ok(empty_outcome());
-    };
-    let n = graph.num_tasks();
-    let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
-    let arena = SearchArena::build(graph, config.use_dominance);
-
-    let mut search = Search::new(
-        &arena,
-        p_max,
-        background,
-        config.max_nodes,
-        horizon,
-        vec![None; n],
-        None,
-        bounds.as_ref(),
-    );
-    search.descend(0, Time::ZERO)?;
-    let stats = search.stats_snapshot();
-
-    match search.best {
-        Some(starts) => {
-            let schedule = Schedule::from_starts(starts);
-            debug_assert!(is_time_valid(graph, &schedule));
-            Ok(OptimalOutcome {
-                finish_time: schedule.finish_time(graph),
-                schedule,
-                nodes_explored: search.nodes,
-                stats,
-            })
-        }
-        None => Err(ScheduleError::SpikeUnresolvable {
-            at: Time::ZERO,
-            level: Power::MAX,
-            budget: p_max,
-        }),
-    }
-}
-
-/// [`minimize_finish_time`] with deterministic search telemetry: a
-/// [`TraceEvent::SearchSample`] every `sample_every` nodes (0 =
-/// unsampled), a [`TraceEvent::IncumbentImproved`] per incumbent, and
-/// one final [`TraceEvent::SearchStatsRecorded`] — emitted even when
-/// the search exhausts its budget, so the trace explains the failure.
-/// Sampling is node-count-triggered, never wall-clock, so the event
-/// stream is a pure function of the problem (`DESIGN.md` §12).
-///
-/// # Errors
-/// Same classes as [`minimize_finish_time`].
-pub fn minimize_finish_time_observed<O: Observer + ?Sized>(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
+    split: Option<usize>,
     sample_every: u64,
     obs: &mut O,
-) -> Result<OptimalOutcome, ScheduleError> {
-    let Some(horizon) = prepare(graph, p_max, background, config)? else {
-        return Ok(empty_outcome());
-    };
-    let n = graph.num_tasks();
-    let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
-    let arena = SearchArena::build(graph, config.use_dominance);
-
-    let mut search = Search::new(
-        &arena,
-        p_max,
-        background,
-        config.max_nodes,
-        horizon,
-        vec![None; n],
-        None,
-        bounds.as_ref(),
-    );
-    if obs.is_enabled() {
-        search.sample_every = sample_every;
-    }
-    let descended = search.descend(0, Time::ZERO);
-    let stats = search.stats_snapshot();
-    if obs.is_enabled() {
-        for event in &search.log {
-            obs.on_event(event);
-        }
-        stats.emit(0, obs);
-    }
-    descended?;
-
-    match search.best {
-        Some(starts) => {
-            let schedule = Schedule::from_starts(starts);
-            debug_assert!(is_time_valid(graph, &schedule));
-            Ok(OptimalOutcome {
-                finish_time: schedule.finish_time(graph),
-                schedule,
-                nodes_explored: search.nodes,
-                stats,
-            })
-        }
-        None => Err(ScheduleError::SpikeUnresolvable {
-            at: Time::ZERO,
-            level: Power::MAX,
-            budget: p_max,
-        }),
-    }
-}
-
-/// Frontier-parallel variant of [`minimize_finish_time`]: the
-/// top-level branch frontier (every topologically ready task at its
-/// constraint lower bound, in task order) is split across `workers`
-/// threads. Each branch runs an independent search with its own
-/// local incumbent, plus a [`SharedMin`] global bound used for
-/// *strictly-greater* pruning only; branch winners are reduced in
-/// frontier order by strict finish-time improvement.
-///
-/// The returned schedule is bit-identical to the sequential search's:
-/// both resolve to the first complete assignment, in depth-first
-/// branch order, that achieves the global minimum finish time.
-/// Strict-only pruning against the shared bound can never discard
-/// that assignment (its prefix finish never exceeds the global
-/// minimum), and the frontier-order reduction restores the
-/// sequential tie-break. See `DESIGN.md` §12 for the full argument.
-///
-/// `nodes_explored` is the one field that is *not* deterministic:
-/// cross-branch pruning depends on thread timing, so the count may
-/// vary between runs (and is always at least the sequential count,
-/// since each branch starts without the earlier branches'
-/// incumbents). Callers must not fold it into reproducible output.
-///
-/// # Errors
-/// Same classes as [`minimize_finish_time`]. The `max_nodes` budget
-/// is enforced *per branch* at the full cap, and cross-branch pruning
-/// depends on thread timing — so near the budget boundary this
-/// function may succeed where the sequential search exhausts (or vice
-/// versa), and a run that exhausts is not guaranteed to exhaust
-/// again. Callers that need budget behaviour to be reproducible and
-/// identical at every worker count — the portfolio is one — must use
-/// [`minimize_finish_time_partitioned`] instead (`DESIGN.md` §12).
-pub fn minimize_finish_time_parallel(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
-    workers: usize,
-) -> Result<OptimalOutcome, ScheduleError> {
-    if workers <= 1 {
-        return minimize_finish_time(graph, p_max, background, config);
-    }
-    let Some(horizon) = prepare(graph, p_max, background, config)? else {
-        return Ok(empty_outcome());
-    };
-    let n = graph.num_tasks();
-    let arena = SearchArena::build(graph, config.use_dominance);
-    let frontier = depth0_frontier(&arena, p_max, background, horizon);
-    let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
-
-    let shared = SharedMin::new(u64::MAX);
-    let branches: Vec<BranchResult> = pas_par::par_map(workers, frontier, |_, (v, s)| {
-        let mut starts = vec![None; n];
-        starts[v.index()] = Some(s);
-        let mut search = Search::new(
-            &arena,
-            p_max,
-            background,
-            config.max_nodes,
-            horizon,
-            starts,
-            Some(&shared),
-            bounds.as_ref(),
-        );
-        search.descend(1, s + graph.task(v).delay())?;
-        let stats = search.stats_snapshot();
-        let (nodes, best_finish) = (search.nodes, search.best_finish);
-        Ok((search.best.map(|b| (best_finish, b)), nodes, stats))
-    });
-
-    reduce_branches(graph, p_max, branches)
-}
-
-/// [`minimize_finish_time_parallel`] with the profiler's side channel:
-/// alongside the (bit-identical) outcome it returns the [`SharedMin`]
-/// contention counters and the thread pool's per-worker wall-clock
-/// profile. Unlike the plain variant this does **not** fall back to
-/// the sequential search at `workers <= 1` — it runs the same
-/// shared-bound frontier fan-out inline, so a threads sweep compares
-/// like with like. Wall-clock and contention numbers are
-/// nondeterministic by nature and must never be traced (`DESIGN.md`
-/// §12); the schedule itself remains deterministic.
-pub fn minimize_finish_time_parallel_profiled(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
-    workers: usize,
-) -> (
-    Result<OptimalOutcome, ScheduleError>,
-    pas_par::SharedMinStats,
-    pas_par::PoolProfile,
-) {
+) -> (Result<OptimalOutcome, ScheduleError>, PoolProfile) {
     let horizon = match prepare(graph, p_max, background, config) {
         Ok(Some(h)) => h,
-        Ok(None) => {
-            return (
-                Ok(empty_outcome()),
-                pas_par::SharedMinStats::default(),
-                pas_par::PoolProfile::default(),
-            )
-        }
-        Err(e) => {
-            return (
-                Err(e),
-                pas_par::SharedMinStats::default(),
-                pas_par::PoolProfile::default(),
-            )
+        Ok(None) => return (Ok(empty_outcome()), PoolProfile::default()),
+        Err(e) => return (Err(e), PoolProfile::default()),
+    };
+    let arena = SearchArena::build(graph, config.use_dominance);
+    // Branch roots: the whole tree, or one pre-placed depth-0 task per
+    // frontier entry (the root node itself counts once).
+    let (roots, workers, budget, root_nodes) = match split {
+        None => (vec![None], 1, config.max_nodes, 0),
+        Some(workers) => {
+            let frontier = depth0_frontier(&arena, p_max, background, horizon);
+            if frontier.is_empty() {
+                return (Err(no_schedule(p_max)), PoolProfile::default());
+            }
+            let budget = (config.max_nodes / frontier.len() as u64).max(1);
+            (frontier.into_iter().map(Some).collect(), workers, budget, 1)
         }
     };
-    let n = graph.num_tasks();
-    let arena = SearchArena::build(graph, config.use_dominance);
-    let frontier = depth0_frontier(&arena, p_max, background, horizon);
+    let sample_every = if obs.is_enabled() { sample_every } else { 0 };
     let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
 
-    let shared = SharedMin::new(u64::MAX);
-    let (branches, pool): (Vec<BranchResult>, pas_par::PoolProfile) =
-        pas_par::par_map_profiled(workers, frontier, |_, (v, s)| {
-            let mut starts = vec![None; n];
-            starts[v.index()] = Some(s);
+    let (branches, pool) =
+        pas_par::par_map(workers, roots, |index, root: Option<(TaskId, Time)>| {
+            let mut starts = vec![None; arena.num_tasks()];
+            if let Some((v, s)) = root {
+                starts[v.index()] = Some(s);
+            }
             let mut search = Search::new(
                 &arena,
                 p_max,
                 background,
-                config.max_nodes,
+                budget,
                 horizon,
                 starts,
-                Some(&shared),
                 bounds.as_ref(),
             );
-            search.descend(1, s + graph.task(v).delay())?;
+            search.sample_every = sample_every;
+            search.worker = index as u32;
+            let descended = match root {
+                None => search.descend(0, Time::ZERO),
+                Some((v, s)) => search.descend(1, s + arena.delay[v.index()]),
+            };
             let stats = search.stats_snapshot();
-            let (nodes, best_finish) = (search.nodes, search.best_finish);
-            Ok((search.best.map(|b| (best_finish, b)), nodes, stats))
+            Branch {
+                result: descended.map(|()| search.best.map(|b| (search.best_finish, b))),
+                stats,
+                log: search.log,
+            }
         });
 
-    (
-        reduce_branches(graph, p_max, branches),
-        shared.stats(),
-        pool,
-    )
-}
-
-/// Deterministic frontier-partitioned variant of
-/// [`minimize_finish_time`]: the depth-0 frontier is split into fully
-/// independent branches and `config.max_nodes` is divided evenly
-/// among them, so every branch's node count — and therefore the
-/// overall success-or-exhaustion outcome — is a pure function of the
-/// problem, identical at every `workers` value (including 1, which
-/// runs the same branches inline).
-///
-/// This trades the cross-branch pruning of
-/// [`minimize_finish_time_parallel`] for reproducible budget
-/// behaviour: branches share no incumbent bound, so whether any
-/// branch exhausts its slice of the budget cannot depend on thread
-/// timing. On success the schedule is the same one both other
-/// variants return — the first complete assignment in depth-first
-/// frontier order achieving the minimum finish time. The portfolio's
-/// exact attempt uses this variant at *every* parallelism setting so
-/// `schedule_portfolio` stays bit-identical across thread counts even
-/// on instances that blow the node budget (`DESIGN.md` §12).
-///
-/// # Errors
-/// Same classes as [`minimize_finish_time`].
-/// [`ScheduleError::TimingSearchExhausted`] is reported when any
-/// branch exceeds `max_nodes / frontier_len` nodes; the budget
-/// boundary differs from the sequential search's single global
-/// budget, but unlike the other variants it is deterministic.
-pub fn minimize_finish_time_partitioned(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
-    workers: usize,
-) -> Result<OptimalOutcome, ScheduleError> {
-    let Some(horizon) = prepare(graph, p_max, background, config)? else {
-        return Ok(empty_outcome());
-    };
-    let n = graph.num_tasks();
-    let arena = SearchArena::build(graph, config.use_dominance);
-    let frontier = depth0_frontier(&arena, p_max, background, horizon);
-    if frontier.is_empty() {
-        return Err(ScheduleError::SpikeUnresolvable {
-            at: Time::ZERO,
-            level: Power::MAX,
-            budget: p_max,
-        });
-    }
-    let branch_budget = (config.max_nodes / frontier.len() as u64).max(1);
-    let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
-
-    let run_branch = |(v, s): (TaskId, Time)| -> BranchResult {
-        let mut starts = vec![None; n];
-        starts[v.index()] = Some(s);
-        let mut search = Search::new(
-            &arena,
-            p_max,
-            background,
-            branch_budget,
-            horizon,
-            starts,
-            None,
-            bounds.as_ref(),
-        );
-        search.descend(1, s + graph.task(v).delay())?;
-        let stats = search.stats_snapshot();
-        let (nodes, best_finish) = (search.nodes, search.best_finish);
-        Ok((search.best.map(|b| (best_finish, b)), nodes, stats))
-    };
-    let branches: Vec<BranchResult> = if workers <= 1 {
-        frontier.into_iter().map(run_branch).collect()
-    } else {
-        pas_par::par_map(workers, frontier, |_, item| run_branch(item))
-    };
-
-    reduce_branches(graph, p_max, branches)
-}
-
-/// [`minimize_finish_time_partitioned`] with deterministic per-branch
-/// search telemetry. Each depth-0 branch buffers its own
-/// [`TraceEvent::SearchSample`] / [`TraceEvent::IncumbentImproved`]
-/// events (`worker` = branch index in frontier order) and the buffers
-/// are replayed in frontier order after the join, followed by one
-/// [`TraceEvent::SearchStatsRecorded`] per branch carrying its slice
-/// of the node budget — the per-worker budget-utilization evidence the
-/// profiler uses. Because branch budgets are fixed up front and
-/// branches share no state, the emitted event stream is identical at
-/// every `workers` value, including the inline `workers <= 1` path
-/// (`DESIGN.md` §12). Telemetry is emitted for *every* branch before
-/// the first error (if any) is propagated, so budget exhaustion is
-/// visible in the trace.
-///
-/// # Errors
-/// Same classes as [`minimize_finish_time_partitioned`].
-pub fn minimize_finish_time_partitioned_observed<O: Observer + ?Sized>(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
-    workers: usize,
-    sample_every: u64,
-    obs: &mut O,
-) -> Result<OptimalOutcome, ScheduleError> {
-    minimize_finish_time_partitioned_profiled(
-        graph,
-        p_max,
-        background,
-        config,
-        workers,
-        sample_every,
-        obs,
-    )
-    .0
-}
-
-/// [`minimize_finish_time_partitioned_observed`] plus the thread
-/// pool's [`pas_par::PoolProfile`] side channel — per-worker busy/wait
-/// wall-clock accounting over the branch fan-out. The outcome and the
-/// emitted trace are exactly those of the observed variant (still
-/// bit-identical at every `workers` value); only the returned profile
-/// is nondeterministic, and per `DESIGN.md` §12 it must never be
-/// folded into traces or reproducible output.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_finish_time_partitioned_profiled<O: Observer + ?Sized>(
-    graph: &ConstraintGraph,
-    p_max: Power,
-    background: Power,
-    config: &OptimalConfig,
-    workers: usize,
-    sample_every: u64,
-    obs: &mut O,
-) -> (Result<OptimalOutcome, ScheduleError>, pas_par::PoolProfile) {
-    let horizon = match prepare(graph, p_max, background, config) {
-        Ok(Some(h)) => h,
-        Ok(None) => return (Ok(empty_outcome()), pas_par::PoolProfile::default()),
-        Err(e) => return (Err(e), pas_par::PoolProfile::default()),
-    };
-    let n = graph.num_tasks();
-    let arena = SearchArena::build(graph, config.use_dominance);
-    let frontier = depth0_frontier(&arena, p_max, background, horizon);
-    if frontier.is_empty() {
-        return (
-            Err(ScheduleError::SpikeUnresolvable {
-                at: Time::ZERO,
-                level: Power::MAX,
-                budget: p_max,
-            }),
-            pas_par::PoolProfile::default(),
-        );
-    }
-    let branch_budget = (config.max_nodes / frontier.len() as u64).max(1);
-    let sample_every = if obs.is_enabled() { sample_every } else { 0 };
-    let bounds = lint_search_bounds(graph, p_max, background, config.use_lint_bounds);
-
-    let run_branch = |branch_idx: usize, (v, s): (TaskId, Time)| -> ObservedBranch {
-        let mut starts = vec![None; n];
-        starts[v.index()] = Some(s);
-        let mut search = Search::new(
-            &arena,
-            p_max,
-            background,
-            branch_budget,
-            horizon,
-            starts,
-            None,
-            bounds.as_ref(),
-        );
-        search.sample_every = sample_every;
-        search.worker = branch_idx as u32;
-        let descended = search.descend(1, s + graph.task(v).delay());
-        let stats = search.stats_snapshot();
-        let (nodes, best_finish) = (search.nodes, search.best_finish);
-        ObservedBranch {
-            result: descended.map(|()| (search.best.map(|b| (best_finish, b)), nodes, stats)),
-            stats,
-            log: search.log,
-        }
-    };
-    // The profiled pool's inline path (`workers <= 1`) runs the same
-    // closure in the same frontier order as the spawned path, so the
-    // buffered telemetry — and therefore the replayed trace — is
-    // identical either way.
-    let indexed: Vec<(usize, (TaskId, Time))> = frontier.into_iter().enumerate().collect();
-    let (branches, pool): (Vec<ObservedBranch>, pas_par::PoolProfile) =
-        pas_par::par_map_profiled(workers, indexed, |_, (i, item)| run_branch(i, item));
-
-    // All telemetry first (deterministic frontier order, errored
-    // branches included), then the usual reduction.
+    // All telemetry first (frontier order, errored branches included),
+    // then the reduction.
     if obs.is_enabled() {
-        for (branch_idx, branch) in branches.iter().enumerate() {
+        for (index, branch) in branches.iter().enumerate() {
             for event in &branch.log {
                 obs.on_event(event);
             }
-            branch.stats.emit(branch_idx as u32, obs);
+            branch.stats.emit(index as u32, obs);
         }
     }
-    (
-        reduce_branches(
-            graph,
-            p_max,
-            branches.into_iter().map(|b| b.result).collect(),
-        ),
-        pool,
-    )
+    (reduce_branches(graph, p_max, root_nodes, branches), pool)
 }
 
-/// The branch reduction shared by every fanned-out variant: the root
-/// node plus every branch's count, the first strictly-better finish in
-/// frontier order, and the first error. With independent branches
-/// every reduced quantity (winner, error, node count, stats) is
-/// deterministic.
+/// Reduces the branches in frontier order: `root_nodes` plus every
+/// branch's count, the first strictly-better finish, and the first
+/// error. Branches are independent, so every reduced quantity (winner,
+/// error, node count, stats) is deterministic.
 fn reduce_branches(
     graph: &ConstraintGraph,
     p_max: Power,
-    branches: Vec<BranchResult>,
+    root_nodes: u64,
+    branches: Vec<Branch>,
 ) -> Result<OptimalOutcome, ScheduleError> {
-    let mut nodes_total: u64 = 1;
+    let mut nodes_total = root_nodes;
     let mut stats_total = SearchStats::default();
     let mut best: Option<(Time, Vec<Time>)> = None;
     for branch in branches {
-        let (local, nodes, stats) = branch?;
-        nodes_total = nodes_total.saturating_add(nodes);
-        stats_total.absorb(&stats);
+        let local = branch.result?;
+        nodes_total = nodes_total.saturating_add(branch.stats.nodes);
+        stats_total.absorb(&branch.stats);
         if let Some((finish, starts)) = local {
-            let strictly_better = match &best {
-                None => true,
-                Some((incumbent, _)) => finish < *incumbent,
-            };
-            if strictly_better {
+            if best
+                .as_ref()
+                .map_or(true, |(incumbent, _)| finish < *incumbent)
+            {
                 best = Some((finish, starts));
             }
         }
     }
 
-    match best {
-        Some((_, starts)) => {
-            let schedule = Schedule::from_starts(starts);
-            debug_assert!(is_time_valid(graph, &schedule));
-            Ok(OptimalOutcome {
-                finish_time: schedule.finish_time(graph),
-                schedule,
-                nodes_explored: nodes_total,
-                stats: stats_total,
-            })
-        }
-        None => Err(ScheduleError::SpikeUnresolvable {
-            at: Time::ZERO,
-            level: Power::MAX,
-            budget: p_max,
-        }),
+    let (_, starts) = best.ok_or_else(|| no_schedule(p_max))?;
+    let schedule = Schedule::from_starts(starts);
+    debug_assert!(is_time_valid(graph, &schedule));
+    Ok(OptimalOutcome {
+        finish_time: schedule.finish_time(graph),
+        schedule,
+        nodes_explored: nodes_total,
+        stats: stats_total,
+    })
+}
+
+/// The error for a search that found no power-valid schedule within
+/// the horizon.
+fn no_schedule(p_max: Power) -> ScheduleError {
+    ScheduleError::SpikeUnresolvable {
+        at: Time::ZERO,
+        level: Power::MAX,
+        budget: p_max,
     }
 }
 
-/// Shared preamble of every search variant: timing feasibility, the
-/// single-task spike check, and the horizon. `Ok(None)` flags the
-/// trivial empty instance.
+/// Preamble of the search: timing feasibility, the single-task spike
+/// check, and the horizon. `Ok(None)` flags the trivial empty
+/// instance.
 fn prepare(
     graph: &ConstraintGraph,
     p_max: Power,
@@ -712,7 +363,7 @@ fn prepare(
     Ok(Some(horizon))
 }
 
-/// The zero-task outcome shared by every variant.
+/// The zero-task outcome.
 fn empty_outcome() -> OptimalOutcome {
     OptimalOutcome {
         schedule: Schedule::from_starts(vec![]),
@@ -722,26 +373,24 @@ fn empty_outcome() -> OptimalOutcome {
     }
 }
 
-/// Replicates the sequential depth-0 expansion: with nothing placed
-/// the dominant candidate set for each ready task is exactly its
-/// lower bound, visited in task order. With dominance enabled the
-/// same symmetry rule the sequential loop applies is applied here, so
-/// the partitioned variants branch on the identical frontier.
+/// Replicates the single-budget search's depth-0 expansion: with
+/// nothing placed the dominant candidate set for each ready task is
+/// exactly its lower bound, visited in task order. With dominance
+/// enabled the same symmetry rule the search loop applies is applied
+/// here, so the split search branches on the identical frontier.
 fn depth0_frontier(
     arena: &SearchArena,
     p_max: Power,
     background: Power,
     horizon: Time,
 ) -> Vec<(TaskId, Time)> {
-    let n = arena.num_tasks();
     let mut proto = Search::new(
         arena,
         p_max,
         background,
         0,
         horizon,
-        vec![None; n],
-        None,
+        vec![None; arena.num_tasks()],
         None,
     );
     let mut frontier: Vec<(TaskId, Time)> = Vec::new();
@@ -763,19 +412,13 @@ fn depth0_frontier(
     frontier
 }
 
-/// Order-preserving embedding of a finish time into the
-/// [`SharedMin`] key space (all search times are non-negative).
-fn bound_key(t: Time) -> u64 {
-    t.as_secs().max(0) as u64
-}
-
 /// Frozen, cache-friendly view of the problem shared by every branch
 /// of one search invocation (DESIGN.md §15): CSR adjacency plus flat
 /// per-task attribute arrays, so the hot loop never touches the
 /// pointer-chasing `ConstraintGraph` arenas, and the precomputed
 /// interchangeability chain for the symmetry rule. Immutable and
-/// `Sync`, so the fanned-out variants build it once and share it
-/// across workers.
+/// `Sync`, so the split search builds it once and shares it across
+/// workers.
 struct SearchArena {
     csr: CsrAdjacency,
     delay: Vec<TimeSpan>,
@@ -934,11 +577,6 @@ struct Search<'g> {
     /// Scratch for `placement_ok`'s overlap sweep events.
     events: Vec<(Time, Power, bool)>,
     horizon: Time,
-    /// Cross-branch incumbent bound for the frontier-parallel search.
-    /// Pruning against it is *strictly greater only*: a partial whose
-    /// finish merely ties the global bound may still complete into
-    /// the assignment that wins the frontier-order tie-break.
-    shared: Option<&'g SharedMin>,
     /// Lint-derived `(makespan_lb, completion tails)`; `None` when
     /// [`OptimalConfig::use_lint_bounds`] is off.
     bounds: Option<&'g SearchBounds>,
@@ -953,18 +591,15 @@ struct Search<'g> {
     sample_every: u64,
     /// Worker/branch id stamped on sampled events.
     worker: u32,
-    /// Buffered telemetry events, replayed by the observed variants in
-    /// a deterministic order after the search returns.
+    /// Buffered telemetry events, replayed by [`minimize_finish_time`]
+    /// in frontier order after the search returns.
     log: Vec<TraceEvent>,
 }
 
 impl<'g> Search<'g> {
-    // Private constructor mirroring the struct's fields one-to-one;
-    // bundling them into a config struct would just rename the list.
     // The SoA state (placed set, pending-predecessor counts, ready
     // frontier, sorted ends) is derived from `starts`, so branch
     // searches seeded with a pre-placed task start consistent.
-    #[allow(clippy::too_many_arguments)]
     fn new(
         arena: &'g SearchArena,
         p_max: Power,
@@ -972,7 +607,6 @@ impl<'g> Search<'g> {
         max_nodes: u64,
         horizon: Time,
         starts: Vec<Option<Time>>,
-        shared: Option<&'g SharedMin>,
         bounds: Option<&'g SearchBounds>,
     ) -> Self {
         let n = starts.len();
@@ -1022,7 +656,6 @@ impl<'g> Search<'g> {
             placed_ivals,
             events: Vec::new(),
             horizon,
-            shared,
             bounds,
             stop: false,
             stats: SearchStats::default(),
@@ -1131,9 +764,6 @@ impl<'g> Search<'g> {
                         finish: current_finish,
                     });
                 }
-                if let Some(shared) = self.shared {
-                    shared.refine(bound_key(current_finish));
-                }
                 self.best = Some(
                     self.starts
                         .iter()
@@ -1154,15 +784,6 @@ impl<'g> Search<'g> {
             }
             return Ok(());
         }
-
-        // One shared-bound load per node expansion (not per
-        // candidate): the bound only ever decreases, so pruning
-        // against a value loaded at expansion time is still
-        // strict-only admissible — at worst it prunes less than a
-        // fresh load would. This is what keeps `SharedMinStats::
-        // get_calls` proportional to nodes instead of nodes ×
-        // frontier × candidates.
-        let shared_bound = self.shared.map(SharedMin::get);
 
         // Branch over the ready frontier (unplaced tasks whose
         // precedence predecessors are all placed — the dynamic
@@ -1235,15 +856,9 @@ impl<'g> Search<'g> {
                         break;
                     }
                 }
-                if let Some(bound) = shared_bound {
-                    // Strict-only global pruning (candidates are
-                    // sorted, so later ones are at least as bad).
-                    if bound_key(finish) > bound {
-                        self.stats.pruned_incumbent += 1;
-                        break;
-                    }
-                }
                 if !self.placement_ok(v, s) {
+                    // Infeasible placements share the dominance
+                    // counter with symmetry skips (DESIGN.md §13).
                     self.stats.pruned_dominance += 1;
                     continue;
                 }
@@ -1357,6 +972,7 @@ impl<'g> Search<'g> {
 mod tests {
     use super::*;
     use pas_graph::{Resource, ResourceKind, Task};
+    use pas_obs::NullObserver;
 
     fn parallel_tasks(powers: &[i64], delay: i64) -> ConstraintGraph {
         let mut g = ConstraintGraph::new();
@@ -1372,16 +988,21 @@ mod tests {
         g
     }
 
+    /// The single-budget (`split = None`) or frontier-split search,
+    /// unobserved, with no background draw.
+    fn run(
+        g: &ConstraintGraph,
+        p_max: Power,
+        config: &OptimalConfig,
+        split: Option<usize>,
+    ) -> Result<OptimalOutcome, ScheduleError> {
+        minimize_finish_time(g, p_max, Power::ZERO, config, split, 0, &mut NullObserver).0
+    }
+
     #[test]
     fn unconstrained_optimum_is_fully_parallel() {
         let g = parallel_tasks(&[3, 3, 3], 5);
-        let best = minimize_finish_time(
-            &g,
-            Power::from_watts(100),
-            Power::ZERO,
-            &OptimalConfig::default(),
-        )
-        .unwrap();
+        let best = run(&g, Power::from_watts(100), &OptimalConfig::default(), None).unwrap();
         assert_eq!(best.finish_time, Time::from_secs(5));
     }
 
@@ -1389,13 +1010,7 @@ mod tests {
     fn budget_two_at_a_time_gives_bin_packing_optimum() {
         // Four 5 W tasks, 10 W budget: two waves of two → 8 s.
         let g = parallel_tasks(&[5, 5, 5, 5], 4);
-        let best = minimize_finish_time(
-            &g,
-            Power::from_watts(10),
-            Power::ZERO,
-            &OptimalConfig::default(),
-        )
-        .unwrap();
+        let best = run(&g, Power::from_watts(10), &OptimalConfig::default(), None).unwrap();
         assert_eq!(best.finish_time, Time::from_secs(8));
     }
 
@@ -1406,13 +1021,7 @@ mod tests {
         let b = TaskId::from_index(1);
         g.precedence(a, b);
         g.max_separation(a, b, TimeSpan::from_secs(10));
-        let best = minimize_finish_time(
-            &g,
-            Power::from_watts(4),
-            Power::ZERO,
-            &OptimalConfig::default(),
-        )
-        .unwrap();
+        let best = run(&g, Power::from_watts(4), &OptimalConfig::default(), None).unwrap();
         assert_eq!(best.finish_time, Time::from_secs(6));
         assert!(is_time_valid(&g, &best.schedule));
     }
@@ -1425,23 +1034,13 @@ mod tests {
         g.min_separation(a, b, TimeSpan::from_secs(5));
         g.max_separation(a, b, TimeSpan::from_secs(4));
         assert!(matches!(
-            minimize_finish_time(
-                &g,
-                Power::from_watts(100),
-                Power::ZERO,
-                &OptimalConfig::default()
-            ),
+            run(&g, Power::from_watts(100), &OptimalConfig::default(), None),
             Err(ScheduleError::Infeasible(_))
         ));
 
         let g2 = parallel_tasks(&[12], 3);
         assert!(matches!(
-            minimize_finish_time(
-                &g2,
-                Power::from_watts(9),
-                Power::ZERO,
-                &OptimalConfig::default()
-            ),
+            run(&g2, Power::from_watts(9), &OptimalConfig::default(), None),
             Err(ScheduleError::SpikeUnresolvable { .. })
         ));
     }
@@ -1461,23 +1060,13 @@ mod tests {
         for i in 0..5 {
             g.precedence(TaskId::from_index(i), TaskId::from_index(i + 1));
         }
-        let baseline = minimize_finish_time(
-            &g,
-            Power::from_watts(50),
-            Power::ZERO,
-            &OptimalConfig::default(),
-        )
-        .unwrap();
-        let bounded = minimize_finish_time(
-            &g,
-            Power::from_watts(50),
-            Power::ZERO,
-            &OptimalConfig {
-                use_lint_bounds: true,
-                ..OptimalConfig::default()
-            },
-        )
-        .unwrap();
+        let p_max = Power::from_watts(50);
+        let config = OptimalConfig {
+            use_lint_bounds: true,
+            ..OptimalConfig::default()
+        };
+        let baseline = run(&g, p_max, &OptimalConfig::default(), None).unwrap();
+        let bounded = run(&g, p_max, &config, None).unwrap();
         assert_eq!(bounded.schedule, baseline.schedule, "bit-identical");
         assert_eq!(bounded.finish_time, baseline.finish_time);
         assert!(
@@ -1489,25 +1078,12 @@ mod tests {
         assert!(bounded.stats.pruned_bound > 0, "{:?}", bounded.stats);
         assert_eq!(baseline.stats.pruned_bound, 0, "off switch stays off");
 
-        // The partitioned variant keeps its worker-count invariance
-        // with the bounds enabled.
-        let config = OptimalConfig {
-            use_lint_bounds: true,
-            ..OptimalConfig::default()
-        };
-        let one =
-            minimize_finish_time_partitioned(&g, Power::from_watts(50), Power::ZERO, &config, 1)
-                .unwrap();
+        // The split search keeps its worker-count invariance with the
+        // bounds enabled.
+        let one = run(&g, p_max, &config, Some(1)).unwrap();
         assert_eq!(one.schedule, baseline.schedule);
         for workers in [2, 4, 8] {
-            let got = minimize_finish_time_partitioned(
-                &g,
-                Power::from_watts(50),
-                Power::ZERO,
-                &config,
-                workers,
-            )
-            .unwrap();
+            let got = run(&g, p_max, &config, Some(workers)).unwrap();
             assert_eq!(got.schedule, one.schedule, "workers={workers}");
             assert_eq!(got.nodes_explored, one.nodes_explored, "workers={workers}");
         }
@@ -1516,63 +1092,21 @@ mod tests {
     #[test]
     fn node_cap_is_enforced() {
         let g = parallel_tasks(&[1, 1, 1, 1, 1, 1], 2);
-        let result = minimize_finish_time(
+        let result = run(
             &g,
             Power::from_watts(2),
-            Power::ZERO,
             &OptimalConfig {
                 max_nodes: 10,
                 horizon: None,
                 use_lint_bounds: false,
                 use_dominance: false,
             },
+            None,
         );
         assert!(matches!(
             result,
             Err(ScheduleError::TimingSearchExhausted { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_search_is_bit_identical_to_sequential() {
-        let cases: Vec<ConstraintGraph> = vec![
-            parallel_tasks(&[3, 3, 3], 5),
-            parallel_tasks(&[5, 5, 5, 5], 4),
-            {
-                let mut g = parallel_tasks(&[4, 4, 2], 3);
-                g.precedence(TaskId::from_index(0), TaskId::from_index(1));
-                g.max_separation(
-                    TaskId::from_index(0),
-                    TaskId::from_index(1),
-                    TimeSpan::from_secs(10),
-                );
-                g
-            },
-        ];
-        for g in &cases {
-            let seq = minimize_finish_time(
-                g,
-                Power::from_watts(10),
-                Power::ZERO,
-                &OptimalConfig::default(),
-            )
-            .unwrap();
-            for workers in [1, 2, 4, 8] {
-                let par = minimize_finish_time_parallel(
-                    g,
-                    Power::from_watts(10),
-                    Power::ZERO,
-                    &OptimalConfig::default(),
-                    workers,
-                )
-                .unwrap();
-                assert_eq!(par.finish_time, seq.finish_time, "workers={workers}");
-                assert_eq!(
-                    par.schedule, seq.schedule,
-                    "schedule must be bit-identical at workers={workers}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1591,32 +1125,20 @@ mod tests {
                 g
             },
         ];
+        let p_max = Power::from_watts(10);
         for g in &cases {
-            let seq = minimize_finish_time(
-                g,
-                Power::from_watts(10),
-                Power::ZERO,
-                &OptimalConfig::default(),
-            )
-            .unwrap();
+            let single = run(g, p_max, &OptimalConfig::default(), None).unwrap();
             for workers in [1, 2, 4, 8] {
-                let part = minimize_finish_time_partitioned(
-                    g,
-                    Power::from_watts(10),
-                    Power::ZERO,
-                    &OptimalConfig::default(),
-                    workers,
-                )
-                .unwrap();
+                let split = run(g, p_max, &OptimalConfig::default(), Some(workers)).unwrap();
                 assert_eq!(
-                    part.schedule, seq.schedule,
+                    split.schedule, single.schedule,
                     "schedule must be bit-identical at workers={workers}"
                 );
             }
         }
     }
 
-    /// The property the portfolio relies on: the partitioned search's
+    /// The property the portfolio relies on: the split search's
     /// *entire result* — including whether it exhausts the budget and
     /// the node count it reports — is identical at every worker
     /// count, because branch budgets are fixed up front and branches
@@ -1624,28 +1146,19 @@ mod tests {
     #[test]
     fn partitioned_budget_outcome_is_worker_count_invariant() {
         let g = parallel_tasks(&[1, 1, 1, 1, 1, 1], 2);
+        let p_max = Power::from_watts(2);
         let tight = OptimalConfig {
             max_nodes: 30,
             horizon: None,
             use_lint_bounds: false,
             use_dominance: false,
         };
-        let reference =
-            minimize_finish_time_partitioned(&g, Power::from_watts(2), Power::ZERO, &tight, 1);
-        assert!(matches!(
-            reference,
-            Err(ScheduleError::TimingSearchExhausted { .. })
-        ));
-        for workers in [2, 4, 8] {
-            let got = minimize_finish_time_partitioned(
-                &g,
-                Power::from_watts(2),
-                Power::ZERO,
-                &tight,
-                workers,
-            );
+        for workers in [1, 2, 4, 8] {
             assert!(
-                matches!(got, Err(ScheduleError::TimingSearchExhausted { .. })),
+                matches!(
+                    run(&g, p_max, &tight, Some(workers)),
+                    Err(ScheduleError::TimingSearchExhausted { .. })
+                ),
                 "workers={workers}: exhaustion must not depend on the worker count"
             );
         }
@@ -1654,28 +1167,19 @@ mod tests {
         // with the same schedule *and* the same deterministic node
         // count.
         let roomy = OptimalConfig::default();
-        let one =
-            minimize_finish_time_partitioned(&g, Power::from_watts(2), Power::ZERO, &roomy, 1)
-                .unwrap();
+        let one = run(&g, p_max, &roomy, Some(1)).unwrap();
         for workers in [2, 4, 8] {
-            let got = minimize_finish_time_partitioned(
-                &g,
-                Power::from_watts(2),
-                Power::ZERO,
-                &roomy,
-                workers,
-            )
-            .unwrap();
+            let got = run(&g, p_max, &roomy, Some(workers)).unwrap();
             assert_eq!(got.schedule, one.schedule, "workers={workers}");
             assert_eq!(
                 got.nodes_explored, one.nodes_explored,
-                "partitioned node counts must be deterministic (workers={workers})"
+                "split node counts must be deterministic (workers={workers})"
             );
         }
     }
 
     #[test]
-    fn parallel_search_reports_same_error_classes() {
+    fn partitioned_search_reports_same_error_classes() {
         let mut g = parallel_tasks(&[4, 4], 3);
         g.min_separation(
             TaskId::from_index(0),
@@ -1687,50 +1191,77 @@ mod tests {
             TaskId::from_index(1),
             TimeSpan::from_secs(4),
         );
-        assert!(matches!(
-            minimize_finish_time_parallel(
-                &g,
-                Power::from_watts(100),
-                Power::ZERO,
-                &OptimalConfig::default(),
-                4,
-            ),
-            Err(ScheduleError::Infeasible(_))
-        ));
-
         let g2 = parallel_tasks(&[12], 3);
-        assert!(matches!(
-            minimize_finish_time_parallel(
-                &g2,
-                Power::from_watts(9),
-                Power::ZERO,
-                &OptimalConfig::default(),
-                4,
-            ),
-            Err(ScheduleError::SpikeUnresolvable { .. })
-        ));
+        for workers in [1, 4] {
+            assert!(
+                matches!(
+                    run(
+                        &g,
+                        Power::from_watts(100),
+                        &OptimalConfig::default(),
+                        Some(workers)
+                    ),
+                    Err(ScheduleError::Infeasible(_))
+                ),
+                "workers={workers}"
+            );
+            assert!(
+                matches!(
+                    run(
+                        &g2,
+                        Power::from_watts(9),
+                        &OptimalConfig::default(),
+                        Some(workers)
+                    ),
+                    Err(ScheduleError::SpikeUnresolvable { .. })
+                ),
+                "workers={workers}"
+            );
+        }
     }
 
+    /// A horizon below every ready task's release leaves the split
+    /// search no depth-0 branch at all, and the single-budget search
+    /// prunes every candidate on the horizon: both report that no
+    /// schedule exists.
+    #[test]
+    fn empty_frontier_is_spike_unresolvable() {
+        let mut g = parallel_tasks(&[2, 2], 3);
+        for i in 0..2 {
+            g.release(TaskId::from_index(i), Time::from_secs(10));
+        }
+        let config = OptimalConfig {
+            horizon: Some(Time::from_secs(5)),
+            ..OptimalConfig::default()
+        };
+        for split in [None, Some(1), Some(4)] {
+            assert!(
+                matches!(
+                    run(&g, Power::from_watts(10), &config, split),
+                    Err(ScheduleError::SpikeUnresolvable { .. })
+                ),
+                "split={split:?}"
+            );
+        }
+    }
+
+    /// Observation never perturbs the search: a recording observer
+    /// and the null observer give the same schedule, node count and
+    /// counters.
     #[test]
     fn observed_search_matches_unobserved_and_reports_prunes() {
         let g = parallel_tasks(&[5, 5, 5, 5], 4);
-        let plain = minimize_finish_time(
-            &g,
-            Power::from_watts(10),
-            Power::ZERO,
-            &OptimalConfig::default(),
-        )
-        .unwrap();
+        let p_max = Power::from_watts(10);
+        let config = OptimalConfig::default();
+        // Small interval so the test sees samples.
+        let plain =
+            minimize_finish_time(&g, p_max, Power::ZERO, &config, None, 8, &mut NullObserver)
+                .0
+                .unwrap();
         let mut rec = pas_obs::RecordingObserver::new();
-        let observed = minimize_finish_time_observed(
-            &g,
-            Power::from_watts(10),
-            Power::ZERO,
-            &OptimalConfig::default(),
-            8, // small interval so the test sees samples
-            &mut rec,
-        )
-        .unwrap();
+        let observed = minimize_finish_time(&g, p_max, Power::ZERO, &config, None, 8, &mut rec)
+            .0
+            .unwrap();
         assert_eq!(observed.schedule, plain.schedule);
         assert_eq!(observed.nodes_explored, plain.nodes_explored);
         assert_eq!(observed.stats, plain.stats, "counters are observation-free");
@@ -1765,45 +1296,48 @@ mod tests {
         g.precedence(TaskId::from_index(0), TaskId::from_index(1));
         let record = |workers: usize| {
             let mut rec = pas_obs::RecordingObserver::new();
-            let outcome = minimize_finish_time_partitioned_observed(
+            let (outcome, pool) = minimize_finish_time(
                 &g,
                 Power::from_watts(8),
                 Power::ZERO,
                 &OptimalConfig::default(),
-                workers,
+                Some(workers),
                 4,
                 &mut rec,
-            )
-            .unwrap();
-            (outcome, rec.into_events())
+            );
+            let pulled: u64 = pool.workers.iter().map(|w| w.items).sum();
+            (outcome.unwrap(), pulled, rec.into_events())
         };
-        let (one, events_one) = record(1);
+        let (one, pulled_one, events_one) = record(1);
         assert!(!events_one.is_empty());
         for workers in [2, 4, 8] {
-            let (got, events) = record(workers);
+            let (got, pulled, events) = record(workers);
             assert_eq!(got.schedule, one.schedule, "workers={workers}");
             assert_eq!(got.stats, one.stats, "workers={workers}");
+            assert_eq!(pulled, pulled_one, "every branch runs once");
             assert_eq!(
                 events, events_one,
                 "telemetry must be byte-identical at workers={workers}"
             );
         }
-        // Per-branch budget slices sum to the stats total.
-        let branch_budgets: u64 = events_one
+        // Per-branch budget slices sum to the stats total, one stats
+        // record per branch.
+        let branch_budgets: Vec<u64> = events_one
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::SearchStatsRecorded { budget, .. } => Some(*budget),
                 _ => None,
             })
-            .sum();
-        assert_eq!(branch_budgets, one.stats.budget);
+            .collect();
+        assert_eq!(branch_budgets.len() as u64, pulled_one);
+        assert_eq!(branch_budgets.iter().sum::<u64>(), one.stats.budget);
     }
 
     #[test]
     fn exhausted_observed_search_still_records_stats() {
         let g = parallel_tasks(&[1, 1, 1, 1, 1, 1], 2);
         let mut rec = pas_obs::RecordingObserver::new();
-        let result = minimize_finish_time_observed(
+        let (result, _) = minimize_finish_time(
             &g,
             Power::from_watts(2),
             Power::ZERO,
@@ -1813,6 +1347,7 @@ mod tests {
                 use_lint_bounds: false,
                 use_dominance: false,
             },
+            None,
             0, // sampling off: the stats record must still appear
             &mut rec,
         );
@@ -1846,7 +1381,11 @@ mod tests {
             fresh.constraints().p_max(),
             fresh.background_power(),
             &OptimalConfig::default(),
+            None,
+            0,
+            &mut NullObserver,
         )
+        .0
         .unwrap();
         assert_eq!(best.finish_time, Time::from_secs(30), "exact optimum");
         let h = heuristic.analysis.finish_time.as_secs();
@@ -1869,7 +1408,11 @@ mod tests {
             rover.0.constraints().p_max(),
             rover.0.background_power(),
             &OptimalConfig::default(),
+            None,
+            0,
+            &mut NullObserver,
         )
+        .0
         .unwrap();
         assert_eq!(best.finish_time, Time::from_secs(75));
     }
@@ -1987,8 +1530,8 @@ mod tests {
             use_dominance: dominance,
             ..OptimalConfig::default()
         };
-        let off = minimize_finish_time(&g, p_max, Power::ZERO, &config(false)).unwrap();
-        let on = minimize_finish_time(&g, p_max, Power::ZERO, &config(true)).unwrap();
+        let off = run(&g, p_max, &config(false), None).unwrap();
+        let on = run(&g, p_max, &config(true), None).unwrap();
         assert_eq!(on.finish_time, Time::from_secs(8));
         assert_eq!(on.schedule, off.schedule, "bit-identical");
         assert_eq!(on.finish_time, off.finish_time);
@@ -2004,16 +1547,13 @@ mod tests {
             on.stats
         );
 
-        // The partitioned fan-out keeps worker-count invariance with
-        // the rule on (the depth-0 frontier drops dominated twins for
-        // every worker identically).
-        let one =
-            minimize_finish_time_partitioned(&g, p_max, Power::ZERO, &config(true), 1).unwrap();
+        // The split search keeps worker-count invariance with the rule
+        // on (the depth-0 frontier drops dominated twins for every
+        // worker identically).
+        let one = run(&g, p_max, &config(true), Some(1)).unwrap();
         assert_eq!(one.schedule, on.schedule);
         for workers in [2, 4, 8] {
-            let got =
-                minimize_finish_time_partitioned(&g, p_max, Power::ZERO, &config(true), workers)
-                    .unwrap();
+            let got = run(&g, p_max, &config(true), Some(workers)).unwrap();
             assert_eq!(got.schedule, one.schedule, "workers={workers}");
             assert_eq!(got.nodes_explored, one.nodes_explored, "workers={workers}");
         }

@@ -8,8 +8,9 @@
 
 use crate::config::{SchedulerConfig, SchedulerStats};
 use crate::error::ScheduleError;
-use crate::max_power::schedule_max_power_observed;
+use crate::max_power::schedule_max_power_seeded;
 use crate::min_power::improve_gaps_observed;
+use crate::session::SessionContext;
 use crate::timing::schedule_timing_observed;
 use pas_core::{analyze, Problem, Schedule, ScheduleAnalysis};
 use pas_graph::units::TimeSpan;
@@ -88,45 +89,35 @@ impl PowerAwareScheduler {
         if !self.config.lint_guard {
             return Ok(());
         }
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::Lint,
-            },
-        );
-        emit(
-            obs,
-            TraceEvent::LintStarted {
-                tasks: problem.graph().num_tasks() as u64,
-                edges: problem.graph().num_edges() as u64,
-            },
-        );
-        let report = pas_lint::lint(problem);
-        for d in report.diagnostics() {
+        let report = in_stage(obs, StageKind::Lint, |obs| {
             emit(
                 obs,
-                TraceEvent::LintFinding {
-                    code: d.code.to_string(),
-                    severity: d.severity.as_str().to_string(),
+                TraceEvent::LintStarted {
+                    tasks: problem.graph().num_tasks() as u64,
+                    edges: problem.graph().num_edges() as u64,
                 },
             );
-        }
-        let rejected = report.has_errors();
-        emit(
-            obs,
-            TraceEvent::LintVerdict {
-                errors: report.error_count() as u64,
-                warnings: report.warning_count() as u64,
-                rejected,
-            },
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::Lint,
-            },
-        );
-        if rejected {
+            let report = pas_lint::lint(problem);
+            for d in report.diagnostics() {
+                emit(
+                    obs,
+                    TraceEvent::LintFinding {
+                        code: d.code.to_string(),
+                        severity: d.severity.as_str().to_string(),
+                    },
+                );
+            }
+            emit(
+                obs,
+                TraceEvent::LintVerdict {
+                    errors: report.error_count() as u64,
+                    warnings: report.warning_count() as u64,
+                    rejected: report.has_errors(),
+                },
+            );
+            report
+        });
+        if report.has_errors() {
             Err(ScheduleError::LintRejected { report })
         } else {
             Ok(())
@@ -154,32 +145,7 @@ impl PowerAwareScheduler {
         obs: &mut dyn Observer,
     ) -> Result<Outcome, ScheduleError> {
         self.lint_guard(problem, obs)?;
-        let mut counter = CountingObserver::new();
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::Timing,
-            },
-        );
-        let result = schedule_timing_observed(
-            problem.graph_mut(),
-            &self.config,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::Timing,
-            },
-        );
-        let schedule = result?;
-        Ok(self.outcome_observed(
-            problem,
-            schedule,
-            counter.counts().into(),
-            StageKind::Timing,
-            obs,
-        ))
+        self.timing_stage(problem, obs)
     }
 
     /// Stages 1–2: timing + max-power scheduling (§5.2).
@@ -203,28 +169,7 @@ impl PowerAwareScheduler {
     ) -> Result<Outcome, ScheduleError> {
         self.lint_guard(problem, obs)?;
         let mut counter = CountingObserver::new();
-        let p_max = problem.constraints().p_max();
-        let background = problem.background_power();
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let result = schedule_max_power_observed(
-            problem.graph_mut(),
-            p_max,
-            background,
-            &self.config,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let schedule = result?;
+        let schedule = self.max_power_stage(problem, None, &mut counter, obs)?;
         Ok(self.outcome_observed(
             problem,
             schedule,
@@ -255,60 +200,7 @@ impl PowerAwareScheduler {
         problem: &mut Problem,
         obs: &mut dyn Observer,
     ) -> Result<Outcome, ScheduleError> {
-        self.lint_guard(problem, obs)?;
-        let mut counter = CountingObserver::new();
-        let constraints = problem.constraints();
-        let background = problem.background_power();
-
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let result = schedule_max_power_observed(
-            problem.graph_mut(),
-            constraints.p_max(),
-            background,
-            &self.config,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let valid = result?;
-
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MinPower,
-            },
-        );
-        let improved = improve_gaps_observed(
-            problem.graph(),
-            valid,
-            constraints.p_max(),
-            constraints.p_min(),
-            background,
-            &self.config,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MinPower,
-            },
-        );
-        Ok(self.outcome_observed(
-            problem,
-            improved,
-            counter.counts().into(),
-            StageKind::MinPower,
-            obs,
-        ))
+        self.run_full(problem, None, obs)
     }
 
     /// [`Self::schedule_with`] served through a long-lived
@@ -332,65 +224,29 @@ impl PowerAwareScheduler {
     pub fn schedule_session_with(
         &self,
         problem: &mut Problem,
-        session: &mut crate::session::SessionContext,
+        session: &mut SessionContext,
+        obs: &mut dyn Observer,
+    ) -> Result<Outcome, ScheduleError> {
+        self.run_full(problem, Some(session), obs)
+    }
+
+    /// The one full-pipeline driver behind [`Self::schedule_with`] and
+    /// [`Self::schedule_session_with`]: lint guard, a max-power span
+    /// (timing runs inside it, seeded from `session`'s warm engine
+    /// when there is one), then a min-power span.
+    fn run_full(
+        &self,
+        problem: &mut Problem,
+        mut session: Option<&mut SessionContext>,
         obs: &mut dyn Observer,
     ) -> Result<Outcome, ScheduleError> {
         self.lint_guard(problem, obs)?;
         let mut counter = CountingObserver::new();
-        let constraints = problem.constraints();
-        let background = problem.background_power();
-
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let warm = if self.config.incremental {
-            session
-                .warm_for(problem.graph(), &mut Tee(&mut counter, &mut *obs))
-                .ok()
-        } else {
-            None
-        };
-        let result = crate::max_power::schedule_max_power_seeded(
-            problem.graph_mut(),
-            constraints.p_max(),
-            background,
-            &self.config,
-            warm,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let valid = result?;
-
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MinPower,
-            },
-        );
-        let improved = improve_gaps_observed(
-            problem.graph(),
-            valid,
-            constraints.p_max(),
-            constraints.p_min(),
-            background,
-            &self.config,
-            &mut Tee(&mut counter, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MinPower,
-            },
-        );
-        session.count_serve();
+        let valid = self.max_power_stage(problem, session.as_deref_mut(), &mut counter, obs)?;
+        let improved = self.min_power_stage(problem, valid, &mut counter, obs);
+        if let Some(session) = session {
+            session.count_serve();
+        }
         Ok(self.outcome_observed(
             problem,
             improved,
@@ -398,6 +254,82 @@ impl PowerAwareScheduler {
             StageKind::MinPower,
             obs,
         ))
+    }
+
+    /// The timing stage (§5.1) in its own span, with its outcome.
+    fn timing_stage(
+        &self,
+        problem: &mut Problem,
+        obs: &mut dyn Observer,
+    ) -> Result<Outcome, ScheduleError> {
+        let mut counter = CountingObserver::new();
+        let schedule = in_stage(obs, StageKind::Timing, |obs| {
+            schedule_timing_observed(
+                problem.graph_mut(),
+                &self.config,
+                &mut Tee(&mut counter, obs),
+            )
+        })?;
+        Ok(self.outcome_observed(
+            problem,
+            schedule,
+            counter.counts().into(),
+            StageKind::Timing,
+            obs,
+        ))
+    }
+
+    /// The max-power stage (§5.2, timing re-runs included) in its own
+    /// span. With a session and [`SchedulerConfig::incremental`] on,
+    /// the session's warm engine seeds every attempt; the warm-up
+    /// event lands inside the span.
+    fn max_power_stage(
+        &self,
+        problem: &mut Problem,
+        session: Option<&mut SessionContext>,
+        counter: &mut CountingObserver,
+        obs: &mut dyn Observer,
+    ) -> Result<Schedule, ScheduleError> {
+        let p_max = problem.constraints().p_max();
+        let background = problem.background_power();
+        in_stage(obs, StageKind::MaxPower, |obs| {
+            let warm = match session {
+                Some(session) if self.config.incremental => session
+                    .warm_for(problem.graph(), &mut Tee(&mut *counter, &mut *obs))
+                    .ok(),
+                _ => None,
+            };
+            schedule_max_power_seeded(
+                problem.graph_mut(),
+                p_max,
+                background,
+                &self.config,
+                warm,
+                &mut Tee(counter, obs),
+            )
+        })
+    }
+
+    /// The min-power stage (§5.3 gap filling) in its own span.
+    fn min_power_stage(
+        &self,
+        problem: &Problem,
+        valid: Schedule,
+        counter: &mut CountingObserver,
+        obs: &mut dyn Observer,
+    ) -> Schedule {
+        let constraints = problem.constraints();
+        in_stage(obs, StageKind::MinPower, |obs| {
+            improve_gaps_observed(
+                problem.graph(),
+                valid,
+                constraints.p_max(),
+                constraints.p_min(),
+                problem.background_power(),
+                &self.config,
+                &mut Tee(counter, obs),
+            )
+        })
     }
 
     /// Runs the pipeline capturing every intermediate schedule
@@ -423,91 +355,24 @@ impl PowerAwareScheduler {
         obs: &mut dyn Observer,
     ) -> Result<StageOutcomes, ScheduleError> {
         self.lint_guard(problem, obs)?;
-        let constraints = problem.constraints();
-        let background = problem.background_power();
+        let time_valid = self.timing_stage(problem, obs)?;
 
-        let mut counter1 = CountingObserver::new();
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::Timing,
-            },
-        );
-        let result = schedule_timing_observed(
-            problem.graph_mut(),
-            &self.config,
-            &mut Tee(&mut counter1, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::Timing,
-            },
-        );
-        let time_valid_schedule = result?;
-        let time_valid = self.outcome_observed(
-            problem,
-            time_valid_schedule,
-            counter1.counts().into(),
-            StageKind::Timing,
-            obs,
-        );
-
-        let mut counter2 = CountingObserver::new();
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let result = schedule_max_power_observed(
-            problem.graph_mut(),
-            constraints.p_max(),
-            background,
-            &self.config,
-            &mut Tee(&mut counter2, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MaxPower,
-            },
-        );
-        let power_valid_schedule = result?;
+        let mut counter = CountingObserver::new();
+        let valid = self.max_power_stage(problem, None, &mut counter, obs)?;
         let power_valid = self.outcome_observed(
             problem,
-            power_valid_schedule.clone(),
-            counter2.counts().into(),
+            valid.clone(),
+            counter.counts().into(),
             StageKind::MaxPower,
             obs,
         );
 
-        let mut counter3 = CountingObserver::new();
-        emit(
-            obs,
-            TraceEvent::StageStarted {
-                stage: StageKind::MinPower,
-            },
-        );
-        let improved_schedule = improve_gaps_observed(
-            problem.graph(),
-            power_valid_schedule,
-            constraints.p_max(),
-            constraints.p_min(),
-            background,
-            &self.config,
-            &mut Tee(&mut counter3, &mut *obs),
-        );
-        emit(
-            obs,
-            TraceEvent::StageFinished {
-                stage: StageKind::MinPower,
-            },
-        );
+        let mut counter = CountingObserver::new();
+        let improved = self.min_power_stage(problem, valid, &mut counter, obs);
         let improved = self.outcome_observed(
             problem,
-            improved_schedule,
-            counter3.counts().into(),
+            improved,
+            counter.counts().into(),
             StageKind::MinPower,
             obs,
         );
@@ -603,7 +468,7 @@ impl PowerAwareScheduler {
         if fan_out {
             let workers = self.config.parallelism.worker_count();
             let shared_problem: &Problem = problem;
-            let runs = pas_par::par_map(
+            let (runs, _) = pas_par::par_map(
                 workers,
                 (0..=restarts).collect::<Vec<usize>>(),
                 |_, attempt| {
@@ -664,15 +529,11 @@ impl PowerAwareScheduler {
         // sample serializations blindly, while branch and bound
         // certifies the optimum — and is affordable below the
         // configured task-count ceiling. Both paths run the
-        // *partitioned* frontier search: its success-or-exhaustion
-        // outcome is a pure function of the problem (the node budget
-        // is split evenly across independent branches), so the
-        // portfolio winner cannot depend on the thread count even on
-        // instances that blow the budget. The shared-bound variant
-        // (`minimize_finish_time_parallel`) prunes harder but makes
-        // exhaustion timing-dependent, which would break the
-        // bit-identity contract exactly at the budget boundary
-        // (DESIGN.md §12).
+        // frontier-split search: its success-or-exhaustion outcome is
+        // a pure function of the problem (the node budget is split
+        // evenly across independent branches), so the portfolio
+        // winner cannot depend on the thread count even on instances
+        // that blow the budget (DESIGN.md §12).
         if restarts > 0 && problem.graph().num_tasks() <= self.config.exact_portfolio_limit {
             let constraints = problem.constraints();
             let exact_config = crate::optimal::OptimalConfig {
@@ -686,16 +547,16 @@ impl PowerAwareScheduler {
             } else {
                 1
             };
-            // The observed variant's telemetry (per-branch samples and
+            // The search telemetry (per-branch samples and
             // SearchStatsRecorded events) is replayed in frontier
             // order with fixed per-branch budgets, so the trace stays
             // byte-identical at every thread count (DESIGN.md §12).
-            let exact = crate::optimal::minimize_finish_time_partitioned_observed(
+            let (exact, _) = crate::optimal::minimize_finish_time(
                 problem.graph(),
                 constraints.p_max(),
                 problem.background_power(),
                 &exact_config,
-                exact_workers,
+                Some(exact_workers),
                 crate::telemetry::SEARCH_SAMPLE_INTERVAL,
                 obs,
             );
@@ -891,6 +752,19 @@ fn emit(obs: &mut dyn Observer, event: TraceEvent) {
     if obs.is_enabled() {
         obs.on_event(&event);
     }
+}
+
+/// Runs `body` inside a `StageStarted`/`StageFinished` bracket for
+/// `stage` — the one place stage spans are emitted.
+fn in_stage<T>(
+    obs: &mut dyn Observer,
+    stage: StageKind,
+    body: impl FnOnce(&mut dyn Observer) -> T,
+) -> T {
+    emit(obs, TraceEvent::StageStarted { stage });
+    let out = body(&mut *obs);
+    emit(obs, TraceEvent::StageFinished { stage });
+    out
 }
 
 #[cfg(test)]

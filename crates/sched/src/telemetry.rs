@@ -1,19 +1,19 @@
 //! Search telemetry: branch-free counters over the two tree searches
 //! (the exact B&B of [`crate::optimal`] and the timing scheduler's
 //! backtracking commit search) plus the deterministic sampling rule
-//! their `_observed` variants follow.
+//! their observed runs follow.
 //!
 //! Everything here obeys the determinism contract of `DESIGN.md` §12:
 //! counters advance on *search events* (node expansions, commits),
 //! never on wall-clock time, and sampled [`pas_obs::TraceEvent`]s are
 //! triggered purely by node counts — so traces stay byte-identical at
-//! every thread count. Wall-clock and contention measurements live in
-//! `pas-par`'s side channel instead and are never traced.
+//! every thread count. Wall-clock measurements live in `pas-par`'s
+//! side channel (`PoolProfile`) instead and are never traced.
 
 use pas_obs::{Observer, TraceEvent};
 
 /// Default node interval between [`TraceEvent::SearchSample`]
-/// emissions in the `_observed` search variants. At the exact B&B's
+/// emissions in observed searches. At the exact B&B's
 /// typical node rates this keeps sampled traces a few hundred events
 /// per million nodes.
 pub const SEARCH_SAMPLE_INTERVAL: u64 = 4096;
@@ -28,13 +28,12 @@ pub struct SearchStats {
     /// Search nodes expanded (B&B `descend` entries, or timing-search
     /// task commits).
     pub nodes: u64,
-    /// Candidate branches cut by the incumbent finish-time bound
-    /// (including the shared cross-branch bound, which only the
-    /// untraced shared-bound search uses).
+    /// Candidate branches cut by the incumbent finish-time bound.
     pub pruned_incumbent: u64,
-    /// Candidate placements discarded by the dominance/feasibility
-    /// check (resource exclusivity, edge windows, power budget — or an
-    /// infeasible serialization in the timing search).
+    /// Candidate placements discarded by the symmetry rule *or* found
+    /// infeasible (resource exclusivity, edge windows, power budget —
+    /// or an infeasible serialization in the timing search). Nonzero
+    /// with dominance off: infeasible placements alone count here.
     pub pruned_dominance: u64,
     /// Candidate starts cut by the search horizon.
     pub pruned_horizon: u64,

@@ -18,7 +18,8 @@
 //!   where the node counts also witness that the rule actually
 //!   prunes.
 
-use pas_sched::optimal::{minimize_finish_time, minimize_finish_time_partitioned, OptimalConfig};
+use pas_obs::NullObserver;
+use pas_sched::optimal::{minimize_finish_time, OptimalConfig};
 use pas_sched::{Parallelism, PowerAwareScheduler, SchedulerConfig};
 use pas_workload::{generate, GeneratorConfig, Topology};
 
@@ -134,8 +135,21 @@ fn dominance_pruning_is_observationally_sound() {
                 use_lint_bounds: false,
                 use_dominance: dominance,
             };
-            let off = minimize_finish_time(graph, p_max, background, &config(false));
-            let on = minimize_finish_time(graph, p_max, background, &config(true));
+            let exact = |dominance: bool, split: Option<usize>| {
+                let config = config(dominance);
+                minimize_finish_time(
+                    graph,
+                    p_max,
+                    background,
+                    &config,
+                    split,
+                    0,
+                    &mut NullObserver,
+                )
+                .0
+            };
+            let off = exact(false, None);
+            let on = exact(true, None);
             match (off, on) {
                 (Ok(off), Ok(on)) => {
                     exact_checked += 1;
@@ -150,27 +164,15 @@ fn dominance_pruning_is_observationally_sound() {
                     if on.nodes_explored < off.nodes_explored {
                         exact_pruned += 1;
                     }
-                    // The partitioned fan-out stays worker-count
+                    // The frontier-split search stays worker-count
                     // invariant with the rule on. It may legitimately
-                    // exhaust where the sequential search succeeds —
-                    // its budget is split per branch (DESIGN.md §12) —
-                    // but the outcome must be identical at every
-                    // worker count, and any schedule it does return
-                    // must be the sequential one.
-                    let part_one = minimize_finish_time_partitioned(
-                        graph,
-                        p_max,
-                        background,
-                        &config(true),
-                        1,
-                    );
-                    let part_n = minimize_finish_time_partitioned(
-                        graph,
-                        p_max,
-                        background,
-                        &config(true),
-                        threads,
-                    );
+                    // exhaust where the single-budget search succeeds
+                    // — its budget is split per branch (DESIGN.md
+                    // §12) — but the outcome must be identical at
+                    // every worker count, and any schedule it does
+                    // return must be the single-budget one.
+                    let part_one = exact(true, Some(1));
+                    let part_n = exact(true, Some(threads));
                     match (part_one, part_n) {
                         (Ok(a), Ok(b)) => {
                             assert_eq!(a.schedule, b.schedule, "case {case}: partitioned workers");

@@ -28,6 +28,7 @@
 
 use impacct::core::Problem;
 use impacct::lint::lint;
+use impacct::obs::NullObserver;
 use impacct::sched::optimal::{minimize_finish_time, OptimalConfig};
 use impacct::sched::{PowerAwareScheduler, ScheduleError, SchedulerConfig};
 use impacct::workload::{
@@ -249,8 +250,17 @@ fn main() {
     let g = p500.graph();
     let (p_max, bg) = (p500.constraints().p_max(), p500.background_power());
     let t = Instant::now();
-    let baseline = minimize_finish_time(g, p_max, bg, &OptimalConfig::default())
-        .expect("backbone search completes");
+    let baseline = minimize_finish_time(
+        g,
+        p_max,
+        bg,
+        &OptimalConfig::default(),
+        None,
+        0,
+        &mut NullObserver,
+    )
+    .0
+    .expect("backbone search completes");
     let baseline_wall = t.elapsed();
     let t = Instant::now();
     let bounded = minimize_finish_time(
@@ -261,7 +271,11 @@ fn main() {
             use_lint_bounds: true,
             ..OptimalConfig::default()
         },
+        None,
+        0,
+        &mut NullObserver,
     )
+    .0
     .expect("bounded backbone search completes");
     let bounded_wall = t.elapsed();
     assert_eq!(
