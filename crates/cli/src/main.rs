@@ -37,8 +37,8 @@
 //! `min`, the full pipeline), prints the power-aware Gantt chart and
 //! metrics, and optionally writes an SVG and/or the schedule as
 //! PASDL. `--threads` enables the deterministic parallel engine
-//! (portfolio fan-out, frontier-split branch and bound, speculative
-//! min-power evaluation); the schedule is bit-identical for any
+//! (portfolio fan-out and frontier-split branch and bound); the
+//! schedule is bit-identical for any
 //! thread count, and with a trace enabled the per-attempt buffers
 //! are stitched in attempt order so traces are identical too. `--trace` streams every scheduling decision as JSONL
 //! [`pas_obs::TraceEvent`]s (`-` streams to stdout for piping);

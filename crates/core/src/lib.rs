@@ -61,10 +61,11 @@ mod slack;
 pub mod validity;
 
 pub use metrics::{
-    analyze, energy_cost, free_energy_used, power_jitter, utilization, ScheduleAnalysis,
+    analyze, energy_cost, free_energy_used, power_jitter, utilization, utilization_of,
+    ScheduleAnalysis,
 };
 pub use problem::{PowerConstraints, Problem};
-pub use profile::{DeltaArena, Interval, PowerProfile, ProfileMove, Segment};
+pub use profile::{DeltaArena, Interval, MoveEffect, PowerProfile, ProfileMove, Segment};
 pub use ratio::Ratio;
 pub use schedule::Schedule;
 pub use slack::{slack, slacks};

@@ -18,21 +18,25 @@ pub fn free_energy_used(profile: &PowerProfile, p_min: Power) -> Energy {
     profile.energy_capped(p_min)
 }
 
-/// Total free energy available over the schedule span: `P_min · τ_σ`.
-pub fn free_energy_available(profile: &PowerProfile, p_min: Power) -> Energy {
-    p_min * profile.end().since_origin()
-}
-
 /// Min-power utilization `ρ_σ(P_min)`: the ratio of free energy used
 /// to free energy available. By convention `ρ = 1` when `P_min = 0`
 /// or the schedule is empty (there is nothing to waste).
 pub fn utilization(profile: &PowerProfile, p_min: Power) -> Ratio {
-    let avail = free_energy_available(profile, p_min);
+    utilization_of(free_energy_used(profile, p_min), p_min, profile.end())
+}
+
+/// [`utilization`] from its parts: the free energy used, `used = ∫
+/// min(P_σ(t), P_min) dt`, over the free energy available, `P_min ·
+/// τ_σ`, for a schedule ending at `end`. Lets a caller that maintains
+/// the used energy as a running sum score a schedule without its
+/// profile.
+pub fn utilization_of(used: Energy, p_min: Power, end: Time) -> Ratio {
+    let avail = p_min * end.since_origin();
     if avail == Energy::ZERO {
         return Ratio::ONE;
     }
     Ratio::new(
-        free_energy_used(profile, p_min).as_millijoules() as i128,
+        used.as_millijoules() as i128,
         avail.as_millijoules() as i128,
     )
 }

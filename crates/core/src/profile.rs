@@ -270,6 +270,105 @@ impl PowerProfile {
         }
     }
 
+    /// What moving one task of power `power` later, from window `from`
+    /// to the equally long window `to`, does to this profile, without
+    /// building the moved profile. Only the segments under `from \ to`
+    /// (level falls by `power`) and `to \ from` (level rises by
+    /// `power`) are walked, each after a binary search; the level past
+    /// `τ_σ` is taken as the background.
+    ///
+    /// Only `to \ from` rises, so on a profile with no spike above
+    /// `p_max` the moved profile has none exactly when
+    /// [`MoveEffect::peak`] `≤ p_max`. Every field equals what the
+    /// built profile ([`with_task_moved`](Self::with_task_moved) with
+    /// the new horizon) gives: its levels, its
+    /// [`energy_capped(cap)`](Self::energy_capped) minus this one's,
+    /// and its [`end`](Self::end).
+    ///
+    /// **Precondition:** `from` lies in `[0, τ_σ)`, `to.start ≥
+    /// from.start`, and both windows have the same length.
+    pub fn move_effect(
+        &self,
+        power: Power,
+        from: Interval,
+        to: Interval,
+        cap: Power,
+    ) -> MoveEffect {
+        debug_assert!(Time::ZERO <= from.start && from.end <= self.end);
+        debug_assert!(from.start <= to.start && from.duration() == to.duration());
+        let vacated = Interval {
+            start: from.start,
+            end: from.end.min(to.start),
+        };
+        let occupied = Interval {
+            start: from.end.max(to.start),
+            end: to.end,
+        };
+        let (_, lost) = self.shifted(vacated, Power::ZERO - power, cap);
+        let (peak, gained) = self.shifted(occupied, power, cap);
+        // Background-only instants between the old horizon and a `to`
+        // that starts past it join the domain.
+        let idle = if self.end < to.start {
+            self.background.min(cap) * (to.start - self.end)
+        } else {
+            Energy::ZERO
+        };
+        MoveEffect {
+            peak,
+            capped_delta: lost + gained + idle,
+            end: self.end.max(to.end),
+        }
+    }
+
+    /// Walks the segments under `window` with every level shifted by
+    /// `shift`: the highest shifted level ([`Power::ZERO`] for an empty
+    /// window) and the change in `∫ min(P, cap)` over the window. Past
+    /// `τ_σ` the old level is the background, and only the shifted
+    /// profile's domain covers it.
+    fn shifted(&self, window: Interval, shift: Power, cap: Power) -> (Power, Energy) {
+        let mut peak = Power::ZERO;
+        let mut capped = Energy::ZERO;
+        let mut i = self
+            .times
+            .partition_point(|&t| t <= window.start)
+            .saturating_sub(1);
+        let mut x = window.start;
+        while x < window.end {
+            if x >= self.end {
+                let level = self.background + shift;
+                peak = peak.max(level);
+                capped += level.min(cap) * (window.end - x);
+                break;
+            }
+            let next = self
+                .times
+                .get(i + 1)
+                .map_or(self.end, |&t| t.min(self.end))
+                .min(window.end);
+            let old = self.levels[i];
+            let level = old + shift;
+            peak = peak.max(level);
+            capped += (level.min(cap) - old.min(cap)) * (next - x);
+            x = next;
+            i += 1;
+        }
+        (peak, capped)
+    }
+
+    /// The constant segment holding `t`, found by binary search
+    /// (`None` outside `[0, τ_σ)`).
+    pub fn segment_at(&self, t: Time) -> Option<Segment> {
+        if t < Time::ZERO || t >= self.end {
+            return None;
+        }
+        let i = self.times.partition_point(|&s| s <= t).checked_sub(1)?;
+        Some(Segment {
+            start: self.times[i],
+            end: self.times.get(i + 1).copied().unwrap_or(self.end),
+            power: self.levels[i],
+        })
+    }
+
     /// End of the profile's domain (the schedule finish time `τ_σ`).
     #[inline]
     pub fn end(&self) -> Time {
@@ -286,14 +385,7 @@ impl PowerProfile {
     ///
     /// Returns the background level for `t` outside `[0, τ_σ)`.
     pub fn power_at(&self, t: Time) -> Power {
-        if t < Time::ZERO || t >= self.end {
-            return self.background;
-        }
-        match self.times.binary_search(&t) {
-            Ok(i) => self.levels[i],
-            Err(0) => self.background,
-            Err(i) => self.levels[i - 1],
-        }
+        self.segment_at(t).map_or(self.background, |s| s.power)
     }
 
     /// Iterates the constant segments covering `[0, τ_σ)`.
@@ -450,6 +542,19 @@ pub struct ProfileMove {
     pub from: Interval,
     /// The execution window in the updated schedule.
     pub to: Interval,
+}
+
+/// The effect of moving one task later, answered by
+/// [`PowerProfile::move_effect`] without building the moved profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MoveEffect {
+    /// Highest new level over `to \ from` (the only instants whose
+    /// level rises); [`Power::ZERO`] when that set is empty.
+    pub peak: Power,
+    /// Exact change in `∫ min(P, cap) dt` over the profile's domain.
+    pub capped_delta: Energy,
+    /// The new horizon `max(τ_σ, to.end)`.
+    pub end: Time,
 }
 
 /// A half-open time interval `[start, end)`.

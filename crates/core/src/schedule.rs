@@ -96,12 +96,6 @@ impl Schedule {
             .collect()
     }
 
-    /// Tasks that have started strictly before `t`, in [`TaskId`]
-    /// order (the candidate set `S` of the min-power scheduler).
-    pub fn started_before(&self, t: Time, graph: &ConstraintGraph) -> Vec<TaskId> {
-        graph.task_ids().filter(|&v| self.start(v) < t).collect()
-    }
-
     /// Iterates `(task, start)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, Time)> + '_ {
         self.starts
@@ -170,8 +164,6 @@ mod tests {
         );
         assert_eq!(s.active_tasks_at(Time::from_secs(4), &g), vec![a, b]);
         assert_eq!(s.active_tasks_at(Time::from_secs(8), &g), vec![b]);
-        assert_eq!(s.started_before(Time::from_secs(3), &g), vec![a]);
-        assert_eq!(s.started_before(Time::from_secs(4), &g), vec![a, b]);
     }
 
     #[test]

@@ -183,34 +183,45 @@ pub fn is_time_valid(graph: &ConstraintGraph, schedule: &Schedule) -> bool {
     time_violations(graph, schedule).is_empty()
 }
 
-/// Incremental time-validity check after moving a single task.
+/// Incremental time-validity check for moving a single task: is
+/// `schedule`, with `moved` starting at `new_start` instead, time-valid?
+/// The schedule itself is left untouched, so no copy is made.
 ///
-/// **Precondition:** `schedule` with `moved` at its previous start was
-/// time-valid. Only constraints the move can affect are re-checked —
-/// edges incident to `moved`, overlaps on `moved`'s resource, and its
-/// origin bound — so this is `O(deg(moved) + |tasks on r(moved)|)`
-/// instead of `O(V + E)`. Under the precondition the result equals
-/// [`is_time_valid`] on the whole schedule (pinned by a property
-/// test); without it the answer may miss violations among unmoved
-/// tasks.
-pub fn is_move_valid(graph: &ConstraintGraph, schedule: &Schedule, moved: TaskId) -> bool {
-    if schedule.start(moved) < Time::ZERO {
+/// **Precondition:** `schedule` is time-valid. Only constraints the
+/// move can affect are checked — edges incident to `moved`, overlaps
+/// on `moved`'s resource, and its origin bound — so this is
+/// `O(deg(moved) + |tasks on r(moved)|)` instead of `O(V + E)`. Under
+/// the precondition the result equals [`is_time_valid`] on the moved
+/// schedule (pinned by a property test); without it the answer may
+/// miss violations among unmoved tasks.
+pub fn is_move_valid(
+    graph: &ConstraintGraph,
+    schedule: &Schedule,
+    moved: TaskId,
+    new_start: Time,
+) -> bool {
+    if new_start < Time::ZERO {
         return false;
     }
     let vnode = moved.node();
-    let edge_ok = |e: &pas_graph::Edge| {
-        node_time(schedule, e.to()) - node_time(schedule, e.from()) >= e.weight()
+    let at = |node: NodeId| {
+        if node == vnode {
+            new_start
+        } else {
+            node_time(schedule, node)
+        }
     };
+    let edge_ok = |e: &pas_graph::Edge| at(e.to()) - at(e.from()) >= e.weight();
     if !graph.out_edges(vnode).all(|(_, e)| edge_ok(e))
         || !graph.in_edges(vnode).all(|(_, e)| edge_ok(e))
     {
         return false;
     }
-    let (s, e) = (schedule.start(moved), schedule.end(moved, graph));
+    let new_end = new_start + graph.task(moved).delay();
     graph
         .tasks_on(graph.task(moved).resource())
         .filter(|&t| t != moved)
-        .all(|t| schedule.start(t) >= e || schedule.end(t, graph) <= s)
+        .all(|t| schedule.start(t) >= new_end || schedule.end(t, graph) <= new_start)
 }
 
 /// `true` when `schedule` is time-valid **and** its power profile
@@ -395,7 +406,7 @@ mod tests {
             let to = Time::from_secs((next() % 12) as i64 - 2);
             let moved = base.with_delayed(victim, to - base.start(victim));
             assert_eq!(
-                is_move_valid(&g, &moved, victim),
+                is_move_valid(&g, &base, victim, to),
                 is_time_valid(&g, &moved),
                 "incremental and full validity disagree"
             );

@@ -1,12 +1,74 @@
 //! Property tests for power profiles, slack, and metrics.
 
 use pas_core::{
-    analyze, free_energy_used, power_jitter, slack, utilization, PowerConstraints, PowerProfile,
-    Problem, Ratio, Schedule,
+    analyze, free_energy_used, power_jitter, slack, utilization, utilization_of, Interval,
+    PowerConstraints, PowerProfile, Problem, Ratio, Schedule,
 };
 use pas_graph::units::{Energy, Power, Time, TimeSpan};
-use pas_graph::{ConstraintGraph, Resource, ResourceKind, Task};
+use pas_graph::{ConstraintGraph, Resource, ResourceKind, Task, TaskId};
 use proptest::prelude::*;
+
+/// Checks [`PowerProfile::move_effect`] for `v` delayed by `delta`
+/// against the moved profile built by `with_task_moved` (itself pinned
+/// to `of_schedule`): peak over `to \ from`, spike test, `Σ min(P,
+/// cap)` change, utilization and horizon.
+fn check_move_effect(
+    g: &ConstraintGraph,
+    s: &Schedule,
+    background: Power,
+    v: TaskId,
+    delta: TimeSpan,
+    cap: Power,
+) -> Result<(), TestCaseError> {
+    let base = PowerProfile::of_schedule(g, s, background);
+    let power = g.task(v).power();
+    let from = Interval {
+        start: s.start(v),
+        end: s.end(v, g),
+    };
+    let to = Interval {
+        start: from.start + delta,
+        end: from.end + delta,
+    };
+    let moved = s.with_delayed(v, delta);
+    let effect = base.move_effect(power, from, to, cap);
+    let built = base.with_task_moved(power, from, to, moved.finish_time(g));
+    prop_assert_eq!(&built, &PowerProfile::of_schedule(g, &moved, background));
+
+    prop_assert_eq!(effect.end, built.end());
+    prop_assert_eq!(
+        effect.capped_delta,
+        built.energy_capped(cap) - base.energy_capped(cap)
+    );
+    prop_assert_eq!(
+        utilization_of(
+            base.energy_capped(cap) + effect.capped_delta,
+            cap,
+            effect.end
+        ),
+        utilization(&built, cap)
+    );
+    // The peak is the built profile's highest level over `to \ from`.
+    let rises = Interval {
+        start: from.end.max(to.start),
+        end: to.end,
+    };
+    let peak = built
+        .segments()
+        .filter(|seg| seg.start < rises.end && rises.start < seg.end)
+        .map(|seg| seg.power)
+        .max()
+        .unwrap_or(Power::ZERO);
+    prop_assert_eq!(effect.peak, peak);
+    // On a spike-free base it is the whole spike test, at every budget
+    // from the base peak up.
+    for p_max in [base.peak(), effect.peak, base.peak().max(effect.peak)] {
+        if base.spikes(p_max).is_empty() {
+            prop_assert_eq!(built.spikes(p_max).is_empty(), effect.peak <= p_max);
+        }
+    }
+    Ok(())
+}
 
 /// A random problem with explicit start times (not necessarily
 /// valid): profile properties must hold for *any* schedule.
@@ -183,5 +245,68 @@ proptest! {
             prop_assert!(edge_ok(&s.with_delayed(v, d)));
             prop_assert!(!edge_ok(&s.with_delayed(v, d + TimeSpan::from_secs(1))));
         }
+    }
+
+    /// The window query agrees with the built profile for later moves
+    /// of one task that overlap its old window, clear it, or start at
+    /// or past the old horizon, at any cap.
+    #[test]
+    fn move_effect_matches_the_built_profile(
+        (g, s) in arb_problem_and_schedule(),
+        pick in 0usize..64,
+        shape in 0u8..3,
+        step in 0i64..30,
+        background_mw in 1i64..3_000,
+        cap_mw in 0i64..30_000,
+    ) {
+        let v = TaskId::from_index(pick % g.num_tasks());
+        let d = g.task(v).delay().as_secs();
+        let horizon = s.finish_time(&g).as_secs();
+        let delta = match shape {
+            // Overlapping the old window.
+            0 => 1 + step % d,
+            // Clear of it.
+            1 => d + step,
+            // Starting at or past the old horizon.
+            _ => horizon - s.start(v).as_secs() + step,
+        };
+        check_move_effect(
+            &g,
+            &s,
+            Power::from_watts_milli(background_mw),
+            v,
+            TimeSpan::from_secs(delta),
+            Power::from_watts_milli(cap_mw),
+        )?;
+    }
+
+    /// The cancelling-boundary shape: `b` starts where `a` ends at the
+    /// same power, so the base profile has no breakpoint there; moving
+    /// `b` later must re-expose the step.
+    #[test]
+    fn move_effect_handles_cancelling_boundaries(
+        watts in 1i64..9,
+        da in 1i64..6,
+        db in 1i64..6,
+        delta in 1i64..15,
+        background_mw in 1i64..3_000,
+        cap_mw in 0i64..20_000,
+    ) {
+        let mut g = ConstraintGraph::new();
+        for (name, d) in [("a", da), ("b", db)] {
+            let r = g.add_resource(Resource::new(name.to_uppercase(), ResourceKind::Compute));
+            g.add_task(Task::new(name, r, TimeSpan::from_secs(d), Power::from_watts(watts)));
+        }
+        let s = Schedule::from_starts(vec![Time::ZERO, Time::from_secs(da)]);
+        let background = Power::from_watts_milli(background_mw);
+        prop_assert_eq!(PowerProfile::of_schedule(&g, &s, background).segments().count(), 1);
+        check_move_effect(
+            &g,
+            &s,
+            background,
+            TaskId::from_index(1),
+            TimeSpan::from_secs(delta),
+            Power::from_watts_milli(cap_mw),
+        )?;
     }
 }

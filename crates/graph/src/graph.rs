@@ -48,6 +48,9 @@ pub struct ConstraintGraph {
     out: Vec<Vec<EdgeId>>,
     /// Incoming edge ids per node.
     incoming: Vec<Vec<EdgeId>>,
+    /// Task ids per resource, ascending (tasks are never removed or
+    /// remapped, so `add_task` appends in id order).
+    by_resource: Vec<Vec<TaskId>>,
 }
 
 impl ConstraintGraph {
@@ -59,6 +62,7 @@ impl ConstraintGraph {
             edges: Vec::new(),
             out: vec![Vec::new()],
             incoming: vec![Vec::new()],
+            by_resource: Vec::new(),
         }
     }
 
@@ -66,6 +70,7 @@ impl ConstraintGraph {
     pub fn add_resource(&mut self, resource: Resource) -> ResourceId {
         let id = ResourceId::from_index(self.resources.len());
         self.resources.push(resource);
+        self.by_resource.push(Vec::new());
         id
     }
 
@@ -84,6 +89,7 @@ impl ConstraintGraph {
             task.resource()
         );
         let id = TaskId::from_index(self.tasks.len());
+        self.by_resource[task.resource().index()].push(id);
         self.tasks.push(task);
         self.out.push(Vec::new());
         self.incoming.push(Vec::new());
@@ -335,15 +341,14 @@ impl ConstraintGraph {
         self.task(a).resource() == self.task(b).resource()
     }
 
-    /// All tasks mapped to `resource`.
+    /// All tasks mapped to `resource`, in ascending id order, in
+    /// `O(|tasks on resource|)`.
     pub fn tasks_on(&self, resource: ResourceId) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks().filter_map(move |(id, t)| {
-            if t.resource() == resource {
-                Some(id)
-            } else {
-                None
-            }
-        })
+        self.by_resource
+            .get(resource.index())
+            .into_iter()
+            .flatten()
+            .copied()
     }
 
     /// Finds a task by name (linear scan; intended for tests and

@@ -1,10 +1,10 @@
 //! Deterministic parallel execution primitives.
 //!
-//! The scheduling pipeline parallelizes three independent searches —
-//! portfolio restarts, the exact B&B frontier, and min-power candidate
-//! evaluation — and in every case the contract is the same: the result
-//! must be **bit-identical** to the sequential run, regardless of the
-//! worker count or of how the OS interleaves the threads. This crate
+//! The scheduling pipeline parallelizes two independent searches —
+//! portfolio restarts and the exact B&B frontier — and in both cases
+//! the contract is the same: the result must be **bit-identical** to
+//! the sequential run, regardless of the worker count or of how the OS
+//! interleaves the threads. This crate
 //! provides the primitives that make that contract easy to keep:
 //!
 //! * [`par_map`] — an indexed map over owned items on scoped threads.

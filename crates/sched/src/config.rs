@@ -184,20 +184,23 @@ pub struct SchedulerConfig {
     pub dominance: bool,
     /// Use the incremental scheduling engine: delta-maintained anchor
     /// longest paths across the timing scheduler's search tree (see
-    /// [`pas_graph::IncrementalLongestPaths`]) and delta-rebuilt power
-    /// profiles in the max-/min-power stages. Results are bit-identical
-    /// to the full recomputation path — longest-path distances are
-    /// unique and the profile deltas reproduce the canonical profile —
-    /// so this is purely a performance knob (DESIGN.md §10). Disabling
-    /// it is an ablation / oracle for the equivalence tests.
+    /// [`pas_graph::IncrementalLongestPaths`]), delta-rebuilt power
+    /// profiles in the max-power stage, and window-scored moves in the
+    /// min-power stage ([`crate::improve_gaps`]). Results are
+    /// bit-identical to the full recomputation path — longest-path
+    /// distances are unique and the profile deltas and window queries
+    /// reproduce the canonical profile's figures — so this is purely a
+    /// performance knob (DESIGN.md §10). Disabling it is an ablation /
+    /// oracle for the equivalence tests.
     pub incremental: bool,
     /// Parallel execution of the independent searches: portfolio
-    /// restarts, the exact-B&B top-level frontier, and min-power
-    /// candidate evaluation. Results are **bit-identical** to the
-    /// sequential run for every setting (DESIGN.md §12) — the winner
-    /// reduction, frontier order, and move-accept rule are all keyed
-    /// on deterministic unit indices, never on completion order — so
-    /// this is purely a wall-clock knob. [`Parallelism::Off`] (the
+    /// restarts and the exact-B&B top-level frontier. Min-power gap
+    /// filling always runs sequentially: a window-scored move costs
+    /// far less than a thread handoff. Results are **bit-identical**
+    /// to the sequential run for every setting (DESIGN.md §12) — the
+    /// winner reduction and frontier order are keyed on deterministic
+    /// unit indices, never on completion order — so this is purely a
+    /// wall-clock knob. [`Parallelism::Off`] (the
     /// default) additionally preserves the legacy *streamed* trace
     /// shape; the enabled settings stitch per-worker trace buffers
     /// with `WorkerStarted`/`WorkerFinished` tags instead.

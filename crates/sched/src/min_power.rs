@@ -22,19 +22,15 @@ use crate::config::{ScanOrder, SchedulerConfig, SchedulerStats, SlotPolicy};
 use crate::error::ScheduleError;
 use crate::max_power::schedule_max_power_observed;
 use pas_core::{
-    is_move_valid, is_time_valid, slack, utilization, Interval, PowerProfile, Ratio, Schedule,
+    free_energy_used, is_move_valid, is_time_valid, slack, utilization, utilization_of, Interval,
+    PowerProfile, Ratio, Schedule,
 };
-use pas_graph::units::{Power, Time, TimeSpan};
+use pas_graph::units::{Energy, Power, Time, TimeSpan};
 use pas_graph::{ConstraintGraph, TaskId};
 use pas_obs::{CountingObserver, Observer, ScanKind, SlotKind, StageKind, TraceEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-/// Minimum candidate count before a gap's evaluation fans out to the
-/// worker pool: below this, thread handoff costs more than the
-/// speculative profile evaluations it saves.
-const PARALLEL_EVAL_MIN_CANDIDATES: usize = 8;
 
 /// Runs the full three-stage pipeline ending with min-power gap
 /// filling. The graph retains only the serialization edges matching
@@ -104,11 +100,17 @@ pub fn schedule_min_power_observed<O: Observer>(
 /// from elsewhere (e.g. a hand schedule) can improve it too.
 ///
 /// `sigma` must be time-valid (as the paper's Fig. 6 assumes). With
-/// [`SchedulerConfig::incremental`] enabled, tentative moves are
-/// validated with the localized [`is_move_valid`] check and the power
-/// profile is delta-maintained across accepted moves — both are
-/// decision-identical to the full recomputation path on a valid input
-/// schedule.
+/// [`SchedulerConfig::incremental`] enabled, each candidate move is
+/// scored without building anything: the localized [`is_move_valid`]
+/// check against the unmoved schedule, plus
+/// [`PowerProfile::move_effect`] over the segments the move touches,
+/// which gives the new peak and, with a running `∫ min(P, P_min)`,
+/// the exact new `ρ`. Only accepted moves (and `reduce_jitter` ties)
+/// build the moved profile, and per-task slacks are maintained across
+/// accepts. A `sigma` whose profile already spikes above `p_max` is
+/// scored by full recomputation instead, since the window query
+/// answers the spike test only on a spike-free base. Both paths are
+/// decision-identical on a valid input schedule.
 pub fn improve_gaps(
     graph: &ConstraintGraph,
     sigma: Schedule,
@@ -137,17 +139,21 @@ pub fn improve_gaps_observed<O: Observer>(
     obs: &mut O,
 ) -> Schedule {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED_6A95);
-    let workers = config.parallelism.worker_count();
     // Invariant (incremental path): `current_profile` always equals
-    // `PowerProfile::of_schedule(graph, &sigma, background)` — the
-    // delta update on accepted moves reproduces the canonical profile
-    // exactly, so decisions based on it are bit-identical to the
-    // rebuild-every-time path.
+    // `PowerProfile::of_schedule(graph, &sigma, background)`, `used`
+    // its `∫ min(P, P_min)`, and `slacks` `pas_core::slacks(graph,
+    // &sigma)` — accepted moves update all three exactly, so decisions
+    // based on them are bit-identical to the rebuild-every-time path.
     let mut current_profile = PowerProfile::of_schedule(graph, &sigma, background);
     let mut rho = utilization(&current_profile, p_min);
     if rho.is_one() {
         return sigma;
     }
+    // Window scoring answers the spike test only on a spike-free base
+    // (a hand-made `sigma` may spike); such inputs take the oracle path.
+    let incremental = config.incremental && current_profile.spikes(p_max).is_empty();
+    let mut used = free_energy_used(&current_profile, p_min);
+    let mut slacks = pas_core::slacks(graph, &sigma);
 
     // Passes sweep the full cross product of scan orders × slot
     // policies ("we scan the schedule multiple times while altering
@@ -171,7 +177,7 @@ pub fn improve_gaps_observed<O: Observer>(
         let mut pass_moves = 0u64;
         let mut improved = false;
 
-        if config.incremental {
+        if incremental {
             // The maintained profile already matches `sigma`.
             if obs.is_enabled() {
                 obs.on_event(&TraceEvent::IncrementalCacheHit {
@@ -194,124 +200,92 @@ pub fn improve_gaps_observed<O: Observer>(
 
         for t in instants {
             // The schedule may have changed since the pass started;
-            // re-check that t is still a gap.
-            if !config.incremental {
+            // re-check that t is still a gap. The oracle path also
+            // recomputes every slack, which checks the maintained ones.
+            if !incremental {
                 current_profile = PowerProfile::of_schedule(graph, &sigma, background);
+                slacks = pas_core::slacks(graph, &sigma);
             }
-            let profile = &current_profile;
-            if profile.power_at(t) >= p_min || t >= profile.end() {
+            let Some(gap) = current_profile.segment_at(t).filter(|s| s.power < p_min) else {
                 continue;
-            }
+            };
             if obs.is_enabled() {
                 obs.on_event(&TraceEvent::GapFound {
                     t,
-                    power: profile.power_at(t),
+                    power: gap.power,
                     floor: p_min,
                 });
             }
-            let gap_end = profile
-                .segments()
-                .find(|s| s.start <= t && t < s.end)
-                .map(|s| s.end)
-                .unwrap_or(profile.end());
 
-            // Candidates: started before t, enough slack to cover t.
-            let candidates: Vec<TaskId> = sigma
-                .started_before(t, graph)
-                .into_iter()
-                .filter(|&v| !sigma.is_active_at(v, t, graph))
+            // Candidates: started before t but no longer active there
+            // (so finished by t), with enough slack to cover t.
+            let candidates: Vec<TaskId> = graph
+                .task_ids()
                 .filter(|&v| {
-                    let needed = t - sigma.end(v, graph) + TimeSpan::from_secs(1);
-                    !needed.is_positive() || slack(graph, &sigma, v) >= needed
+                    let end = sigma.end(v, graph);
+                    end <= t && slacks[v.index()] > t - end
                 })
                 .collect();
 
-            // Random-slot passes draw from the shared RNG per
-            // candidate, so their evaluation stays on the sequential
-            // path; the pure policies are stateless per candidate and
-            // may be evaluated speculatively in parallel.
             let mut accepted = false;
-            if workers > 1
-                && slot_policy != SlotPolicy::Random
-                && candidates.len() >= PARALLEL_EVAL_MIN_CANDIDATES
-            {
-                let pairs: Vec<(TaskId, TimeSpan)> = candidates
-                    .iter()
-                    .map(|&v| {
-                        (
-                            v,
-                            slot_delta(graph, &sigma, v, t, gap_end, slot_policy, &mut rng),
-                        )
-                    })
-                    .filter(|(_, delta)| delta.is_positive())
-                    .collect();
-                // Speculative evaluation: every candidate is scored
-                // against the same base schedule/profile the lazy
-                // sequential loop would use (they only change on an
-                // accept, which ends the loop), so committing the
-                // first accepting candidate *in candidate order* —
-                // and rejecting exactly the ones before it —
-                // reproduces the sequential decisions and trace
-                // bit-for-bit (DESIGN.md §12).
-                let (evals, _) = pas_par::par_map(workers, pairs, |_, (v, delta)| {
-                    evaluate_candidate(
-                        graph,
-                        &sigma,
-                        &current_profile,
-                        config,
-                        p_max,
-                        p_min,
-                        background,
-                        rho,
-                        v,
+            for v in candidates {
+                let slack_v = slacks[v.index()];
+                let delta =
+                    slot_delta(graph, &sigma, v, slack_v, t, gap.end, slot_policy, &mut rng);
+                if !delta.is_positive() {
+                    continue;
+                }
+                let mv = Candidate::new(graph, &sigma, v, delta);
+                let base = Base {
+                    sigma: &sigma,
+                    profile: &current_profile,
+                    rho,
+                    used,
+                };
+                let scored = if incremental {
+                    score_window(graph, base, config, p_max, p_min, mv)
+                } else {
+                    score_rebuild(graph, base, background, config, p_max, p_min, mv)
+                };
+
+                if !scored.accept {
+                    if obs.is_enabled() {
+                        obs.on_event(&TraceEvent::MoveRejected {
+                            task: v,
+                            delta,
+                            rho_before: rho,
+                            rho_after: scored.new_rho,
+                        });
+                    }
+                    continue;
+                }
+                if obs.is_enabled() {
+                    obs.on_event(&TraceEvent::MoveAccepted {
+                        task: v,
                         delta,
-                    )
-                });
-                for eval in evals {
-                    if commit_candidate(
-                        eval,
-                        config,
-                        obs,
-                        &mut sigma,
-                        &mut current_profile,
-                        &mut rho,
-                        &mut pass_moves,
-                    ) {
-                        accepted = true;
-                        break;
+                        rho_before: rho,
+                        rho_after: scored.new_rho,
+                    });
+                }
+                sigma = sigma.with_delayed(v, delta);
+                if let Some(moved) = scored.moved {
+                    current_profile = moved;
+                    used += scored.capped_delta;
+                    refresh_slacks(graph, &sigma, &mut slacks, v);
+                    debug_assert_eq!(used, free_energy_used(&current_profile, p_min));
+                    debug_assert_eq!(slacks, pas_core::slacks(graph, &sigma));
+                    if obs.is_enabled() {
+                        obs.on_event(&TraceEvent::IncrementalDelta {
+                            stage: StageKind::MinPower,
+                            edges: 1,
+                            relaxations: current_profile.segments().count() as u64,
+                        });
                     }
                 }
-            } else {
-                for v in candidates {
-                    let delta = slot_delta(graph, &sigma, v, t, gap_end, slot_policy, &mut rng);
-                    if !delta.is_positive() {
-                        continue;
-                    }
-                    let eval = evaluate_candidate(
-                        graph,
-                        &sigma,
-                        &current_profile,
-                        config,
-                        p_max,
-                        p_min,
-                        background,
-                        rho,
-                        v,
-                        delta,
-                    );
-                    if commit_candidate(
-                        eval,
-                        config,
-                        obs,
-                        &mut sigma,
-                        &mut current_profile,
-                        &mut rho,
-                        &mut pass_moves,
-                    ) {
-                        accepted = true;
-                        break;
-                    }
-                }
+                rho = scored.new_rho;
+                pass_moves += 1;
+                accepted = true;
+                break;
             }
             if accepted {
                 improved = true;
@@ -347,124 +321,146 @@ pub fn improve_gaps_observed<O: Observer>(
     sigma
 }
 
-/// One scored gap-fill candidate: the tentative schedule/profile a
-/// move would produce and whether the Fig. 6 accept rule takes it.
-struct CandidateEval {
+/// A candidate re-placement: `task` (of power `power`) delayed by
+/// `delta`, from window `from` to window `to`.
+#[derive(Clone, Copy)]
+struct Candidate {
     task: TaskId,
     delta: TimeSpan,
-    accept: bool,
-    new_rho: Ratio,
-    tentative: Schedule,
-    tentative_profile: PowerProfile,
+    power: Power,
+    from: Interval,
+    to: Interval,
 }
 
-/// Scores one candidate move against the current schedule and
-/// profile. Pure: reads only shared state, so evaluations of distinct
-/// candidates are independent and may run on worker threads.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_candidate(
-    graph: &ConstraintGraph,
-    sigma: &Schedule,
-    current_profile: &PowerProfile,
-    config: &SchedulerConfig,
-    p_max: Power,
-    p_min: Power,
-    background: Power,
-    rho: Ratio,
-    v: TaskId,
-    delta: TimeSpan,
-) -> CandidateEval {
-    let tentative = sigma.with_delayed(v, delta);
-    // Incremental path: the tentative profile is a single-window
-    // delta off the maintained one, and the single-move validity
-    // check replaces the full oracle (equivalent on a valid base
-    // schedule).
-    let (tentative_profile, time_ok) = if config.incremental {
+impl Candidate {
+    fn new(graph: &ConstraintGraph, sigma: &Schedule, task: TaskId, delta: TimeSpan) -> Self {
         let from = Interval {
-            start: sigma.start(v),
-            end: sigma.end(v, graph),
+            start: sigma.start(task),
+            end: sigma.end(task, graph),
         };
-        let to = Interval {
-            start: from.start + delta,
-            end: from.end + delta,
-        };
-        let p = current_profile.with_task_moved(
-            graph.task(v).power(),
+        Candidate {
+            task,
+            delta,
+            power: graph.task(task).power(),
             from,
-            to,
-            tentative.finish_time(graph),
-        );
-        (p, is_move_valid(graph, &tentative, v))
-    } else {
-        (
-            PowerProfile::of_schedule(graph, &tentative, background),
-            is_time_valid(graph, &tentative),
-        )
-    };
-    let valid = time_ok && tentative_profile.spikes(p_max).is_empty();
-    let new_rho = utilization(&tentative_profile, p_min);
-    // Optional secondary objective: flatten the power curve when
-    // utilization ties.
-    let jitter_win = config.reduce_jitter && new_rho == rho && {
-        pas_core::power_jitter(&tentative_profile) < pas_core::power_jitter(current_profile)
-            && tentative_profile.end() <= current_profile.end()
-    };
-    CandidateEval {
-        task: v,
-        delta,
-        accept: valid && (new_rho > rho || jitter_win),
-        new_rho,
-        tentative,
-        tentative_profile,
+            to: Interval {
+                start: from.start + delta,
+                end: from.end + delta,
+            },
+        }
     }
 }
 
-/// Applies one evaluated candidate: emits `MoveAccepted` (plus the
-/// incremental delta event) and installs the tentative state when the
-/// move was accepted, or emits `MoveRejected` otherwise. Returns
-/// whether the move was accepted.
-fn commit_candidate<O: Observer>(
-    eval: CandidateEval,
+/// The standing state a candidate is scored against: the schedule,
+/// its profile, its `ρ`, and its `∫ min(P, P_min)` (maintained on the
+/// incremental path only).
+#[derive(Clone, Copy)]
+struct Base<'a> {
+    sigma: &'a Schedule,
+    profile: &'a PowerProfile,
+    rho: Ratio,
+    used: Energy,
+}
+
+/// One scored gap-fill candidate: whether the Fig. 6 accept rule
+/// takes it, the utilization it reaches, and — window-scored and
+/// accepted — the moved profile and its `∫ min(P, P_min)` change.
+struct Scored {
+    accept: bool,
+    new_rho: Ratio,
+    moved: Option<PowerProfile>,
+    capped_delta: Energy,
+}
+
+/// Scores `mv` from the segments it touches ([`PowerProfile::move_effect`]
+/// plus the running `base.used`) and the local validity check. Builds
+/// the moved profile only when the move is taken or a `reduce_jitter`
+/// tie needs its curve. `base.profile` must be free of spikes above
+/// `p_max`.
+fn score_window(
+    graph: &ConstraintGraph,
+    base: Base<'_>,
     config: &SchedulerConfig,
-    obs: &mut O,
-    sigma: &mut Schedule,
-    current_profile: &mut PowerProfile,
-    rho: &mut Ratio,
-    pass_moves: &mut u64,
-) -> bool {
-    if eval.accept {
-        if obs.is_enabled() {
-            obs.on_event(&TraceEvent::MoveAccepted {
-                task: eval.task,
-                delta: eval.delta,
-                rho_before: *rho,
-                rho_after: eval.new_rho,
-            });
-            if config.incremental {
-                obs.on_event(&TraceEvent::IncrementalDelta {
-                    stage: StageKind::MinPower,
-                    edges: 1,
-                    relaxations: eval.tentative_profile.segments().count() as u64,
-                });
-            }
+    p_max: Power,
+    p_min: Power,
+    mv: Candidate,
+) -> Scored {
+    let Candidate {
+        task,
+        power,
+        from,
+        to,
+        ..
+    } = mv;
+    let effect = base.profile.move_effect(power, from, to, p_min);
+    let new_rho = utilization_of(base.used + effect.capped_delta, p_min, effect.end);
+    let improves = new_rho > base.rho;
+    let tie = config.reduce_jitter && new_rho == base.rho;
+    let mut built = None;
+    let accept = (improves || tie)
+        && effect.peak <= p_max
+        && is_move_valid(graph, base.sigma, task, to.start)
+        && (improves || {
+            let moved = base.profile.with_task_moved(power, from, to, effect.end);
+            let flatter = flattens(&moved, base.profile);
+            built = Some(moved);
+            flatter
+        });
+    Scored {
+        accept,
+        new_rho,
+        moved: accept.then(|| {
+            built.unwrap_or_else(|| base.profile.with_task_moved(power, from, to, effect.end))
+        }),
+        capped_delta: effect.capped_delta,
+    }
+}
+
+/// Scores `mv` by rebuilding the moved schedule and profile and
+/// running the full checks: the oracle the window scoring must agree
+/// with.
+fn score_rebuild(
+    graph: &ConstraintGraph,
+    base: Base<'_>,
+    background: Power,
+    config: &SchedulerConfig,
+    p_max: Power,
+    p_min: Power,
+    mv: Candidate,
+) -> Scored {
+    let tentative = base.sigma.with_delayed(mv.task, mv.delta);
+    let moved = PowerProfile::of_schedule(graph, &tentative, background);
+    let valid = is_time_valid(graph, &tentative) && moved.spikes(p_max).is_empty();
+    let new_rho = utilization(&moved, p_min);
+    let jitter_win = config.reduce_jitter && new_rho == base.rho && flattens(&moved, base.profile);
+    Scored {
+        accept: valid && (new_rho > base.rho || jitter_win),
+        new_rho,
+        moved: None,
+        capped_delta: Energy::ZERO,
+    }
+}
+
+/// The `reduce_jitter` tie-break: the moved profile is flatter and
+/// ends no later.
+fn flattens(moved: &PowerProfile, current: &PowerProfile) -> bool {
+    pas_core::power_jitter(moved) < pas_core::power_jitter(current) && moved.end() <= current.end()
+}
+
+/// Recomputes the slacks a move of `moved` can change: its own (its
+/// start moved) and those of the sources of its in-edges (their
+/// out-edges point at it). Every other slack reads unchanged starts.
+fn refresh_slacks(
+    graph: &ConstraintGraph,
+    sigma: &Schedule,
+    slacks: &mut [TimeSpan],
+    moved: TaskId,
+) {
+    slacks[moved.index()] = slack(graph, sigma, moved);
+    for (_, e) in graph.in_edges(moved.node()) {
+        if let Some(u) = e.from().task() {
+            slacks[u.index()] = slack(graph, sigma, u);
         }
-        *sigma = eval.tentative;
-        if config.incremental {
-            *current_profile = eval.tentative_profile;
-        }
-        *rho = eval.new_rho;
-        *pass_moves += 1;
-        true
-    } else {
-        if obs.is_enabled() {
-            obs.on_event(&TraceEvent::MoveRejected {
-                task: eval.task,
-                delta: eval.delta,
-                rho_before: *rho,
-                rho_after: eval.new_rho,
-            });
-        }
-        false
     }
 }
 
@@ -494,13 +490,15 @@ fn cycle<T: Copy>(items: &[T], index: usize, default: T) -> T {
     }
 }
 
-/// How far to delay `v` so that it is active at `t`, according to the
-/// slot policy. Returns a non-positive span when no admissible slot
-/// exists (callers skip the candidate).
+/// How far to delay `v` (whose slack is `slack_v`) so that it is
+/// active at `t`, according to the slot policy. Returns a non-positive
+/// span when no admissible slot exists (callers skip the candidate).
+#[allow(clippy::too_many_arguments)]
 fn slot_delta(
     graph: &ConstraintGraph,
     sigma: &Schedule,
     v: TaskId,
+    slack_v: TimeSpan,
     t: Time,
     gap_end: Time,
     policy: SlotPolicy,
@@ -508,7 +506,6 @@ fn slot_delta(
 ) -> TimeSpan {
     let start = sigma.start(v);
     let d_v = graph.task(v).delay();
-    let slack_v = slack(graph, sigma, v);
     // Starts that keep v active at t: (t − d(v), t].
     let earliest = (t - d_v + TimeSpan::from_secs(1)).max(start + TimeSpan::from_secs(1));
     let latest_by_slack = start + slack_v.min(TimeSpan::from_secs(i64::MAX / 4));

@@ -173,10 +173,9 @@ enum CommitOutcome {
 
 /// Incrementally-maintained topological search state (`DESIGN.md`
 /// §15): a CSR snapshot of the constraint graph taken at search entry,
-/// per-task counts of uncommitted precedence predecessors, the ready
-/// frontier as a bitset, and per-resource peer lists. Replaces the
-/// per-node all-task `frontier()` rescan and the `tasks_on` linear
-/// filter with O(out-degree) commit/uncommit maintenance.
+/// per-task counts of uncommitted precedence predecessors, and the
+/// ready frontier as a bitset. Replaces the per-node all-task
+/// `frontier()` rescan with O(out-degree) commit/uncommit maintenance.
 ///
 /// The snapshot is equivalent to the legacy live-graph frontier scan:
 /// every precedence edge present at entry (including release/lock/
@@ -194,9 +193,6 @@ struct TopoState {
     pending: Vec<u32>,
     /// Uncommitted tasks with `pending == 0`, in ascending id order.
     ready: FixedBitset,
-    /// Tasks per resource, in ascending id order (the `tasks_on`
-    /// iteration order the serialization loop relied on).
-    by_resource: Vec<Vec<TaskId>>,
 }
 
 impl TopoState {
@@ -218,16 +214,11 @@ impl TopoState {
                 ready.insert(i);
             }
         }
-        let mut by_resource = vec![Vec::new(); graph.num_resources()];
-        for (id, task) in graph.tasks() {
-            by_resource[task.resource().index()].push(id);
-        }
         TopoState {
             csr,
             committed,
             pending,
             ready,
-            by_resource,
         }
     }
 
@@ -356,12 +347,10 @@ fn commit_all<O: Observer>(
             }
         }
 
-        // Serialize every uncommitted same-resource task after c
-        // (peer lists are in ascending id order — the same order the
-        // live `tasks_on` scan produced).
-        let peers: Vec<TaskId> = topo.by_resource[graph.task(c).resource().index()]
-            .iter()
-            .copied()
+        // Serialize every uncommitted same-resource task after c, in
+        // ascending id order.
+        let peers: Vec<TaskId> = graph
+            .tasks_on(graph.task(c).resource())
             .filter(|&u| u != c && !topo.committed[u.index()])
             .collect();
         for u in peers {

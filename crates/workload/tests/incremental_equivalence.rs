@@ -4,18 +4,41 @@
 //! §10) must be a pure performance knob: for every problem the
 //! pipeline must produce the *bit-identical* schedule, energy cost
 //! `Ec_σ` and min-power utilization `ρ_σ` with the engine on and off,
-//! and fail with the same error class when it fails. This sweep runs
-//! the full three-stage pipeline on 256 generated problems across all
-//! topologies and a range of power tightness — deliberately including
-//! power-infeasible instances so the failure paths are compared too.
+//! and fail with the same error class when it fails. The min-power
+//! stage must also take the same decisions: its recorded gap, move
+//! and pass events — each rejected move's `ρ` included — must match
+//! event for event. This sweep runs the full three-stage pipeline on
+//! 256 generated problems across all topologies and a range of power
+//! tightness — deliberately including power-infeasible instances so
+//! the failure paths are compared too.
 
+use pas_obs::{RecordingObserver, TraceEvent};
 use pas_sched::{PowerAwareScheduler, SchedulerConfig};
 use pas_workload::{generate, GeneratorConfig, Topology};
+
+/// The min-power stage's decision events, in order.
+fn min_power_decisions(recorder: RecordingObserver) -> Vec<TraceEvent> {
+    recorder
+        .into_events()
+        .into_iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::GapScanStarted { .. }
+                    | TraceEvent::GapFound { .. }
+                    | TraceEvent::MoveAccepted { .. }
+                    | TraceEvent::MoveRejected { .. }
+                    | TraceEvent::GapScanFinished { .. }
+            )
+        })
+        .collect()
+}
 
 #[test]
 fn incremental_pipeline_is_bit_identical_to_full_recompute() {
     let mut solved = 0usize;
     let mut failed = 0usize;
+    let mut rejected_moves = 0usize;
     for case in 0..256u64 {
         let topology = match case % 3 {
             0 => Topology::Layered {
@@ -44,9 +67,17 @@ fn incremental_pipeline_is_bit_identical_to_full_recompute() {
                 seed: case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED,
                 ..SchedulerConfig::default()
             };
+            let mut recorder = RecordingObserver::new();
             PowerAwareScheduler::new(config)
-                .schedule(&mut p)
-                .map(|o| (o.schedule, o.analysis.energy_cost, o.analysis.utilization))
+                .schedule_with(&mut p, &mut recorder)
+                .map(|o| {
+                    (
+                        o.schedule,
+                        o.analysis.energy_cost,
+                        o.analysis.utilization,
+                        min_power_decisions(recorder),
+                    )
+                })
         };
 
         match (run(true), run(false)) {
@@ -54,6 +85,18 @@ fn incremental_pipeline_is_bit_identical_to_full_recompute() {
                 assert_eq!(on.0, off.0, "case {case}: schedules diverge");
                 assert_eq!(on.1, off.1, "case {case}: energy cost Ec diverges");
                 assert_eq!(on.2, off.2, "case {case}: utilization rho diverges");
+                assert_eq!(
+                    on.3.len(),
+                    off.3.len(),
+                    "case {case}: min-power decision counts diverge"
+                );
+                for (i, (a, b)) in on.3.iter().zip(&off.3).enumerate() {
+                    assert_eq!(a, b, "case {case}: min-power decision {i} diverges");
+                }
+                rejected_moves +=
+                    on.3.iter()
+                        .filter(|e| matches!(e, TraceEvent::MoveRejected { .. }))
+                        .count();
                 solved += 1;
             }
             (Err(on), Err(off)) => {
@@ -74,4 +117,5 @@ fn incremental_pipeline_is_bit_identical_to_full_recompute() {
     // would make the identity check vacuous).
     assert_eq!(solved + failed, 256);
     assert!(solved >= 128, "only {solved}/256 cases solvable");
+    assert!(rejected_moves > 0, "no rejected move was compared");
 }
