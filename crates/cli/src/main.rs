@@ -103,7 +103,7 @@ use pas_core::analyze;
 use pas_core::describe_spike;
 use pas_core::power_model::analyze_corners;
 use pas_gantt::{render_ascii, render_svg, summary_report, AsciiOptions, GanttChart, SvgOptions};
-use pas_lint::{lint_problem, render_human, render_json, LintCode, LintConfig, SourceFile};
+use pas_lint::{lint_problem, render_human, render_json, LintCode, SourceFile};
 use pas_obs::{
     parse_jsonl, JsonlWriter, MetricsRegistry, NullObserver, Observer, StageKind, StageProfiler,
     Tee,
@@ -611,7 +611,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     let path = path.ok_or_else(usage)?;
     let mut source = read(&path)?;
     let spanned = parse_problem_spanned(&source).map_err(|e| e.to_string())?;
-    let mut report = lint_problem(&spanned.problem, &spanned.spans, &LintConfig::default());
+    let mut report = lint_problem(&spanned.problem, &spanned.spans);
 
     if fix || fix_maybe_incorrect {
         let outcome = pas_lint::apply_fixes(&source, &report, fix_maybe_incorrect);
@@ -621,7 +621,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             // rewritten source and re-lint before committing it.
             let respanned = parse_problem_spanned(&outcome.source)
                 .map_err(|e| format!("{path}: fixes produced unparsable PASDL ({e}); aborting"))?;
-            report = lint_problem(&respanned.problem, &respanned.spans, &LintConfig::default());
+            report = lint_problem(&respanned.problem, &respanned.spans);
             std::fs::write(&path, &outcome.source)
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             source = outcome.source;

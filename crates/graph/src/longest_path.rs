@@ -12,10 +12,17 @@
 //!   one used by the schedulers;
 //! * [`bellman_ford_reference`] — the textbook O(V·E) loop, kept as an
 //!   independent oracle for property tests.
+//!
+//! [`PrunedLongestPaths`] answers many sources on one feasible graph
+//! (the lint's per-source checks): the same relaxation, cut short by
+//! the anchor's distances, and exact wherever a threshold test can
+//! come out true.
 
+use crate::csr::CsrAdjacency;
 use crate::graph::ConstraintGraph;
 use crate::id::{EdgeId, NodeId, TaskId};
 use crate::units::{Time, TimeSpan};
+use std::collections::VecDeque;
 
 /// Longest distances from a source node to every reachable node.
 ///
@@ -200,6 +207,159 @@ pub fn single_source_longest_paths(
     }
 
     Ok(LongestPaths { source, dist })
+}
+
+/// Longest paths from one source at a time on a graph without
+/// positive cycles, pruned by a feasible potential.
+///
+/// A potential `π` is *feasible* when every edge `u → v` of weight `w`
+/// satisfies `π(u) + w ≤ π(v)`. The longest paths from the anchor (the
+/// ASAP start times) are one. Reweighted by `π`, every edge weighs
+/// `w + π(u) − π(v) ≤ 0`, so the *reweighted distance*
+/// `r(v) = d(v) − π(v) + π(s)` from a source `s` starts at 0 and never
+/// rises along a path.
+///
+/// [`run`](Self::run) takes a reweighted cutoff `c` and expands a node
+/// only while its reweighted distance is above `c`:
+///
+/// * every node whose true reweighted distance is above `c` ends with
+///   its exact longest distance, because every node on its longest
+///   path is above `c` too;
+/// * every other node is unreached, or holds the longest `d(u) + w`
+///   over its in-edges from the nodes above `c`: the length of a real
+///   path, so at most its true distance.
+///
+/// Neither depends on the order nodes are expanded in. A caller that
+/// asks "is `d(t)` above `θ_t`?" for a few targets runs with
+/// `c = min_t (θ_t − π(t) + π(s))` and reads exact answers: a target
+/// whose distance is not exact is at most its threshold.
+///
+/// The adjacency is a [`CsrAdjacency`] snapshot taken once by
+/// [`new`](Self::new); the buffers are reused from one source to the
+/// next.
+///
+/// # Examples
+/// ```
+/// use pas_graph::longest_path::{single_source_longest_paths, PrunedLongestPaths};
+/// use pas_graph::units::{Power, TimeSpan};
+/// use pas_graph::{ConstraintGraph, NodeId, Resource, ResourceKind, Task};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut g = ConstraintGraph::new();
+/// let r = g.add_resource(Resource::new("R", ResourceKind::Compute));
+/// let a = g.add_task(Task::new("a", r, TimeSpan::from_secs(2), Power::ZERO));
+/// let b = g.add_task(Task::new("b", r, TimeSpan::from_secs(1), Power::ZERO));
+/// let c = g.add_task(Task::new("c", r, TimeSpan::from_secs(1), Power::ZERO));
+/// g.precedence(a, b);
+/// g.precedence(b, c);
+/// let asap = single_source_longest_paths(&g, NodeId::ANCHOR)?;
+///
+/// let mut search = PrunedLongestPaths::new(&g, &asap);
+/// // ASAP already puts c 3 s after a, so every reweighted distance
+/// // from a is 0: a cutoff of -1 s expands the whole chain.
+/// search.run(a.node(), TimeSpan::from_secs(-1));
+/// assert_eq!(search.distance(c.node()), Some(TimeSpan::from_secs(3)));
+/// // A cutoff of 0 expands nothing: only the source is reached.
+/// search.run(a.node(), TimeSpan::ZERO);
+/// assert_eq!(search.distance(b.node()), None);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PrunedLongestPaths {
+    csr: CsrAdjacency,
+    potential: Vec<TimeSpan>,
+    dist: Vec<Option<TimeSpan>>,
+    /// Nodes given a distance by the last run, to reset the next one.
+    reached: Vec<NodeId>,
+    in_queue: Vec<bool>,
+    queue: VecDeque<NodeId>,
+}
+
+impl PrunedLongestPaths {
+    /// Snapshots `graph` and takes `potential`'s distances as `π`.
+    ///
+    /// # Panics
+    /// Panics when `potential` leaves a node unreached or is not
+    /// feasible for `graph`. The anchor's longest paths on `graph`
+    /// itself are always both.
+    pub fn new(graph: &ConstraintGraph, potential: &LongestPaths) -> Self {
+        let csr = CsrAdjacency::build(graph);
+        let n = csr.num_nodes();
+        let potential: Vec<TimeSpan> = (0..n)
+            .map(|i| {
+                potential
+                    .distance(NodeId(i as u32))
+                    .expect("the potential reaches every node")
+            })
+            .collect();
+        // Feasibility rules out positive cycles, so every run ends.
+        for u in 0..n {
+            for e in csr.out_edges(NodeId(u as u32)) {
+                assert!(
+                    potential[u] + e.weight <= potential[e.other.index()],
+                    "the potential is not feasible for this graph"
+                );
+            }
+        }
+        PrunedLongestPaths {
+            csr,
+            potential,
+            dist: vec![None; n],
+            reached: Vec::new(),
+            in_queue: vec![false; n],
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Longest paths from `source`, expanding only nodes whose
+    /// reweighted distance `d(v) − π(v) + π(source)` is above `cutoff`.
+    /// A cutoff of 0 or more expands nothing.
+    pub fn run(&mut self, source: NodeId, cutoff: TimeSpan) {
+        for n in self.reached.drain(..) {
+            self.dist[n.index()] = None;
+        }
+        // d(v) − π(v) > floor  ⟺  r(v) > cutoff.
+        let floor = cutoff - self.potential[source.index()];
+        self.dist[source.index()] = Some(TimeSpan::ZERO);
+        self.reached.push(source);
+        if -self.potential[source.index()] > floor {
+            self.queue.push_back(source);
+            self.in_queue[source.index()] = true;
+        }
+        while let Some(u) = self.queue.pop_front() {
+            self.in_queue[u.index()] = false;
+            let du = self.dist[u.index()].expect("queued nodes have distances");
+            for e in self.csr.out_edges(u) {
+                let v = e.other.index();
+                let cand = du + e.weight;
+                match self.dist[v] {
+                    Some(dv) if cand <= dv => continue,
+                    None => self.reached.push(e.other),
+                    Some(_) => {}
+                }
+                self.dist[v] = Some(cand);
+                if cand - self.potential[v] > floor && !self.in_queue[v] {
+                    self.queue.push_back(e.other);
+                    self.in_queue[v] = true;
+                }
+            }
+        }
+    }
+
+    /// The distance the last [`run`](Self::run) left at `node`: exact
+    /// when its reweighted distance is above the cutoff, otherwise
+    /// `None` or the length of some path to it.
+    #[inline]
+    pub fn distance(&self, node: NodeId) -> Option<TimeSpan> {
+        self.dist[node.index()]
+    }
+
+    /// The potential `π(node)` the search was built with.
+    #[inline]
+    pub fn potential(&self, node: NodeId) -> TimeSpan {
+        self.potential[node.index()]
+    }
 }
 
 /// Textbook Bellman–Ford longest paths: |V|−1 full relaxation passes,

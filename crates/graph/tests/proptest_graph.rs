@@ -1,8 +1,11 @@
 //! Property tests for the constraint-graph substrate:
-//! SPFA-vs-reference longest paths, journal undo, and topological
-//! order invariants on random graphs.
+//! SPFA-vs-reference longest paths, the pruned per-source search
+//! against SPFA, journal undo, and topological order invariants on
+//! random graphs.
 
-use pas_graph::longest_path::{bellman_ford_reference, single_source_longest_paths};
+use pas_graph::longest_path::{
+    bellman_ford_reference, single_source_longest_paths, PrunedLongestPaths,
+};
 use pas_graph::topo::{reaches, topological_order};
 use pas_graph::units::{Power, Time, TimeSpan};
 use pas_graph::{ConstraintGraph, NodeId, Resource, ResourceKind, Task, TaskId};
@@ -62,6 +65,61 @@ proptest! {
             }
             (Err(_), Err(_)) => {} // both infeasible
             (x, y) => prop_assert!(false, "disagreement: {x:?} vs {y:?}"),
+        }
+    }
+
+    /// The pruned search against full SPFA rows, with the anchor's
+    /// distances as the potential `π`. For every source and cutoff `c`
+    /// (each reweighted distance the oracle reaches, so some node sits
+    /// exactly on the cutoff, one below all of them, and one random),
+    /// every node must hold exactly the longest `d(u) + w` over its
+    /// in-edges from nodes whose oracle reweighted distance is above
+    /// `c` (the source holds 0). So the row equals the oracle wherever
+    /// the oracle is above the cutoff, never exceeds it anywhere, and
+    /// nothing at or below the cutoff is expanded.
+    #[test]
+    fn pruned_search_is_exact_above_the_cutoff(
+        seed in any::<u64>(),
+        tasks in 1usize..14,
+        density in 0.05f64..0.6,
+        random_cutoff in -40i64..2,
+    ) {
+        let g = random_graph(seed, tasks, density);
+        let Ok(asap) = single_source_longest_paths(&g, NodeId::ANCHOR) else {
+            return Ok(()); // a positive cycle: no feasible potential
+        };
+        let nodes: Vec<NodeId> = std::iter::once(NodeId::ANCHOR)
+            .chain(g.task_ids().map(|t| t.node()))
+            .collect();
+        let pi = |n: NodeId| asap.distance(n).expect("the anchor reaches every node");
+        let mut search = PrunedLongestPaths::new(&g, &asap);
+        for &s in &nodes {
+            let oracle = single_source_longest_paths(&g, s).expect("feasible graph");
+            let reweighted = |n: NodeId| oracle.distance(n).map(|d| d - pi(n) + pi(s));
+            let mut cutoffs: Vec<TimeSpan> = nodes.iter().filter_map(|&n| reweighted(n)).collect();
+            let lowest = cutoffs.iter().copied().min().unwrap_or(TimeSpan::ZERO);
+            cutoffs.push(lowest - TimeSpan::from_secs(1));
+            cutoffs.push(TimeSpan::from_secs(random_cutoff));
+            for c in cutoffs {
+                search.run(s, c);
+                for &v in &nodes {
+                    let expected = if v == s {
+                        Some(TimeSpan::ZERO)
+                    } else {
+                        g.in_edges(v)
+                            .filter(|(_, e)| reweighted(e.from()).is_some_and(|r| r > c))
+                            .map(|(_, e)| oracle.distance(e.from()).unwrap() + e.weight())
+                            .max()
+                    };
+                    prop_assert_eq!(search.distance(v), expected, "source {} cutoff {} node {}", s, c, v);
+                    if reweighted(v).is_some_and(|r| r > c) {
+                        prop_assert_eq!(search.distance(v), oracle.distance(v));
+                    }
+                    if let Some(d) = search.distance(v) {
+                        prop_assert!(oracle.distance(v).is_some_and(|o| d <= o));
+                    }
+                }
+            }
         }
     }
 

@@ -76,7 +76,7 @@ pub use certificate::{
 pub use diag::{Applicability, Diagnostic, Fix, LabeledSpan, LintCode, LintReport, Severity};
 pub use explain::explain;
 pub use fixit::{apply_fixes, FixOutcome};
-pub use passes::{lint, lint_problem, LintConfig};
+pub use passes::{lint, lint_problem};
 pub use render::{render_human, render_json, SourceFile};
 pub use span::{Span, SpanTable};
 
@@ -128,7 +128,6 @@ mod crate_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Diagnostic>();
         assert_send_sync::<LintReport>();
-        assert_send_sync::<LintConfig>();
         assert_send_sync::<SpanTable>();
     }
 

@@ -15,12 +15,12 @@
 //! they prove the declared deadline unreachable, not that the
 //! schedulers — which never see the deadline — must fail.
 
+use super::MAX_PAIRWISE_TASKS;
 use crate::certificate::{
     mandatory_overlap, verify_certificate, Certificate, MakespanBound, StartClaim, WindowClaim,
 };
 use crate::diag::{Applicability, Diagnostic, LintCode, LintReport};
 use crate::span::SpanTable;
-use crate::LintConfig;
 use pas_core::Problem;
 use pas_graph::units::{Power, Time, TimeSpan};
 use pas_graph::window::{propagate_windows, TaskWindows};
@@ -34,7 +34,6 @@ pub(super) fn check(
     problem: &Problem,
     spans: &SpanTable,
     deadline: Option<Time>,
-    config: &LintConfig,
     report: &mut LintReport,
 ) {
     let graph = problem.graph();
@@ -63,7 +62,7 @@ pub(super) fn check(
     }
 
     check_tightened_deadline(problem, spans, &windows, deadline, report);
-    if graph.num_tasks() <= config.max_pairwise_tasks {
+    if graph.num_tasks() <= MAX_PAIRWISE_TASKS {
         check_energy_windows(problem, spans, &windows, deadline, report);
         check_resource_packing(problem, spans, &windows, deadline, report);
     }

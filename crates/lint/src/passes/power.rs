@@ -2,7 +2,7 @@
 //! mandatory-interval profile bounds, and the static utilization
 //! upper bound.
 
-use super::{critical_path_finish, forced_overlap, task_label, LintConfig};
+use super::{combined_power, critical_path_finish, task_label};
 use crate::diag::{Diagnostic, LintCode, LintReport};
 use crate::span::SpanTable;
 use pas_core::{Problem, Ratio};
@@ -10,6 +10,10 @@ use pas_graph::alap::latest_start_times;
 use pas_graph::longest_path::LongestPaths;
 use pas_graph::units::{Power, Time};
 use pas_graph::TaskId;
+
+/// `PAS022` warns when the static utilization bound falls below this
+/// fraction, as `(numerator, denominator)`.
+const UTILIZATION_WARN_BELOW: (i128, i128) = (1, 2);
 
 /// PAS020 — a pair of tasks (on *different* resources; same-resource
 /// pairs are the harder error PAS030) whose separations force them to
@@ -19,47 +23,31 @@ use pas_graph::TaskId;
 pub(super) fn check_forced_overlap(
     problem: &Problem,
     spans: &SpanTable,
-    pairwise: &[LongestPaths],
+    forced_pairs: &[(TaskId, TaskId)],
     report: &mut LintReport,
 ) {
     let graph = problem.graph();
     let p_max = problem.constraints().p_max();
-    if p_max == Power::MAX {
-        return;
-    }
-    let background = problem.background_power();
-    let tasks: Vec<TaskId> = graph.task_ids().collect();
-    for (i, &u) in tasks.iter().enumerate() {
-        for &v in &tasks[i + 1..] {
-            if graph.same_resource(u, v) {
-                continue;
-            }
-            let combined = graph
-                .task(u)
-                .power()
-                .saturating_add(graph.task(v).power())
-                .saturating_add(background);
-            if combined <= p_max {
-                continue;
-            }
-            if forced_overlap(graph, pairwise, u, v) {
-                report.push(
-                    Diagnostic::new(
-                        LintCode::ForcedOverlapPower,
-                        format!(
-                            "tasks {} ({}) and {} ({}) are forced to overlap by their separations, stacking {combined} against the {p_max} budget",
-                            task_label(graph, u),
-                            graph.task(u).power(),
-                            task_label(graph, v),
-                            graph.task(v).power(),
-                        ),
-                    )
-                    .with_span(spans.task(u), "first task")
-                    .with_span(spans.task(v), "second task")
-                    .with_suggestion("widen the separation window between them so one can wait"),
-                );
-            }
+    for &(u, v) in forced_pairs {
+        let combined = combined_power(problem, u, v);
+        if graph.same_resource(u, v) || combined <= p_max {
+            continue;
         }
+        report.push(
+            Diagnostic::new(
+                LintCode::ForcedOverlapPower,
+                format!(
+                    "tasks {} ({}) and {} ({}) are forced to overlap by their separations, stacking {combined} against the {p_max} budget",
+                    task_label(graph, u),
+                    graph.task(u).power(),
+                    task_label(graph, v),
+                    graph.task(v).power(),
+                ),
+            )
+            .with_span(spans.task(u), "first task")
+            .with_span(spans.task(v), "second task")
+            .with_suggestion("widen the separation window between them so one can wait"),
+        );
     }
 }
 
@@ -150,12 +138,11 @@ pub(super) fn check_windows(
 ///
 /// where `τ_min` is the critical-path makespan (the bound is
 /// decreasing in the true makespan `τ ≥ τ_min`). A `P_min` whose
-/// bound is below the configured threshold can never be well
+/// bound is below [`UTILIZATION_WARN_BELOW`] can never be well
 /// utilized, whatever the scheduler does.
 pub(super) fn check_utilization(
     problem: &Problem,
     spans: &SpanTable,
-    config: &LintConfig,
     asap: &LongestPaths,
     report: &mut LintReport,
 ) {
@@ -182,9 +169,9 @@ pub(super) fn check_utilization(
         return; // bound is 1: nothing to warn about
     }
     let bound = Ratio::new(num, den);
-    let thr = config.utilization_warn_threshold;
+    let (thr_num, thr_den) = UTILIZATION_WARN_BELOW;
     // bound < threshold, compared exactly by cross-multiplication.
-    if bound.numerator() * thr.denominator() < thr.numerator() * bound.denominator() {
+    if bound.numerator() * thr_den < thr_num * bound.denominator() {
         report.push(
             Diagnostic::new(
                 LintCode::HopelessUtilization,

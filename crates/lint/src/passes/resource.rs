@@ -1,10 +1,9 @@
 //! Resource analysis: same-resource task pairs whose separations make
 //! serialization impossible.
 
-use super::{forced_overlap, task_label};
+use super::task_label;
 use crate::diag::{Diagnostic, LintCode, LintReport};
 use crate::span::SpanTable;
-use pas_graph::longest_path::LongestPaths;
 use pas_graph::{ConstraintGraph, TaskId};
 
 /// PAS030 — two tasks share a resource, yet the min/max separations
@@ -15,34 +14,29 @@ use pas_graph::{ConstraintGraph, TaskId};
 pub(super) fn check(
     graph: &ConstraintGraph,
     spans: &SpanTable,
-    pairwise: &[LongestPaths],
+    forced_pairs: &[(TaskId, TaskId)],
     report: &mut LintReport,
 ) {
-    let tasks: Vec<TaskId> = graph.task_ids().collect();
-    for (i, &u) in tasks.iter().enumerate() {
-        for &v in &tasks[i + 1..] {
-            if !graph.same_resource(u, v) {
-                continue;
-            }
-            if forced_overlap(graph, pairwise, u, v) {
-                let resource = graph.resource(graph.task(u).resource()).name();
-                report.push(
-                    Diagnostic::new(
-                        LintCode::ForcedResourceOverlap,
-                        format!(
-                            "tasks {} and {} share resource \"{resource}\" but their separations force them to overlap",
-                            task_label(graph, u),
-                            task_label(graph, v),
-                        ),
-                    )
-                    .with_span(spans.task(u), "first task")
-                    .with_span(spans.task(v), "second task")
-                    .with_suggestion(format!(
-                        "widen the window between them to at least {} (one task's delay) or move one to another resource",
-                        graph.task(u).delay().min(graph.task(v).delay()),
-                    )),
-                );
-            }
+    for &(u, v) in forced_pairs {
+        if !graph.same_resource(u, v) {
+            continue;
         }
+        let resource = graph.resource(graph.task(u).resource()).name();
+        report.push(
+            Diagnostic::new(
+                LintCode::ForcedResourceOverlap,
+                format!(
+                    "tasks {} and {} share resource \"{resource}\" but their separations force them to overlap",
+                    task_label(graph, u),
+                    task_label(graph, v),
+                ),
+            )
+            .with_span(spans.task(u), "first task")
+            .with_span(spans.task(v), "second task")
+            .with_suggestion(format!(
+                "widen the window between them to at least {} (one task's delay) or move one to another resource",
+                graph.task(u).delay().min(graph.task(v).delay()),
+            )),
+        );
     }
 }

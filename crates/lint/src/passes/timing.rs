@@ -1,13 +1,13 @@
 //! Timing analysis: positive-cycle witnesses, redundant separations
 //! and the deadline-vs-critical-path precheck.
 
-use super::{node_label, signed};
+use super::{node_by_index, node_label, signed};
 use crate::diag::{Applicability, Diagnostic, LintCode, LintReport};
 use crate::span::SpanTable;
-use pas_graph::longest_path::{single_source_longest_paths, LongestPaths, PositiveCycle};
+use pas_graph::longest_path::{LongestPaths, PositiveCycle};
 use pas_graph::units::{Time, TimeSpan};
 use pas_graph::{ConstraintGraph, EdgeId, EdgeKind, NodeId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Short constraint-kind tag for chain rendering.
 fn kind_tag(kind: EdgeKind) -> &'static str {
@@ -55,10 +55,12 @@ pub(super) fn report_positive_cycle(
 
 /// Searches for a positive cycle of length ≤ 2 — the smallest
 /// explainable witness. Returns the node loop without the repeated
-/// closing node.
+/// closing node. With several such loops the pick is fixed: the one
+/// whose node pair `(a, b)`, `a ≤ b`, is smallest, with the anchor as
+/// node 0 and task `k` as node `k + 1`.
 fn minimal_witness(graph: &ConstraintGraph) -> Option<Vec<NodeId>> {
-    // Max edge weight per ordered node pair.
-    let mut best: HashMap<(usize, usize), TimeSpan> = HashMap::new();
+    // Max edge weight per ordered node pair, in ascending pair order.
+    let mut best: BTreeMap<(usize, usize), TimeSpan> = BTreeMap::new();
     for (_, e) in graph.edges() {
         let key = (e.from().index(), e.to().index());
         best.entry(key)
@@ -78,14 +80,6 @@ fn minimal_witness(graph: &ConstraintGraph) -> Option<Vec<NodeId>> {
         }
     }
     None
-}
-
-fn node_by_index(i: usize) -> NodeId {
-    if i == 0 {
-        NodeId::ANCHOR
-    } else {
-        pas_graph::TaskId::from_index(i - 1).node()
-    }
 }
 
 /// Renders `a -(min +5s)-> b -(max -3s)-> a` for a node loop, picking
@@ -136,57 +130,44 @@ pub(super) fn check(
     graph: &ConstraintGraph,
     spans: &SpanTable,
     asap: &LongestPaths,
+    redundant: &[(EdgeId, TimeSpan)],
     deadline: Option<Time>,
     report: &mut LintReport,
 ) {
-    check_redundant_edges(graph, spans, report);
+    report_redundant_edges(graph, spans, redundant, report);
     if let Some(deadline) = deadline {
         check_deadline(graph, spans, asap, deadline, report);
     }
 }
 
-/// PAS011 — a user separation strictly dominated by another path. The
-/// graph is cycle-free here, so a strictly longer `from → to` path
-/// cannot itself ride through the dominated edge.
-fn check_redundant_edges(graph: &ConstraintGraph, spans: &SpanTable, report: &mut LintReport) {
-    let mut by_source: HashMap<NodeId, Vec<(EdgeId, TimeSpan, NodeId, EdgeKind)>> = HashMap::new();
-    for (id, e) in graph.edges() {
-        if matches!(e.kind(), EdgeKind::MinSeparation | EdgeKind::MaxSeparation)
-            && e.from() != e.to()
-        {
-            by_source
-                .entry(e.from())
-                .or_default()
-                .push((id, e.weight(), e.to(), e.kind()));
-        }
-    }
-    for (source, edges) in by_source {
-        let Ok(paths) = single_source_longest_paths(graph, source) else {
-            return; // unreachable: cycles were handled upstream
-        };
-        for (id, weight, to, kind) in edges {
-            let Some(dist) = paths.distance(to) else {
-                continue;
-            };
-            if dist > weight {
-                report.push(
-                    Diagnostic::new(
-                        LintCode::RedundantEdge,
-                        format!(
-                            "{} constraint {} -> {} (weight {}) is redundant: other constraints already force a separation of {}",
-                            kind_tag(kind),
-                            node_label(graph, source),
-                            node_label(graph, to),
-                            signed(weight),
-                            signed(dist),
-                        ),
-                    )
-                    .with_span(spans.edge(id), "dominated constraint")
-                    .with_suggestion("delete it, or tighten it if it was meant to bind")
-                    .with_fix(spans.edge(id), "", Applicability::MachineApplicable),
-                );
-            }
-        }
+/// PAS011 — a user separation strictly dominated by another path, one
+/// diagnostic per `(edge, longer distance)` in the order given (edge-id
+/// order). The graph is cycle-free here, so a strictly longer
+/// `from → to` path cannot itself ride through the dominated edge.
+fn report_redundant_edges(
+    graph: &ConstraintGraph,
+    spans: &SpanTable,
+    redundant: &[(EdgeId, TimeSpan)],
+    report: &mut LintReport,
+) {
+    for &(id, dist) in redundant {
+        let e = graph.edge(id);
+        report.push(
+            Diagnostic::new(
+                LintCode::RedundantEdge,
+                format!(
+                    "{} constraint {} -> {} (weight {}) is redundant: other constraints already force a separation of {}",
+                    kind_tag(e.kind()),
+                    node_label(graph, e.from()),
+                    node_label(graph, e.to()),
+                    signed(e.weight()),
+                    signed(dist),
+                ),
+            )
+            .with_span(spans.edge(id), "dominated constraint")
+            .with_suggestion("delete it, or tighten it if it was meant to bind")
+            .with_fix(spans.edge(id), "", Applicability::MachineApplicable),
+        );
     }
 }
 

@@ -8,7 +8,7 @@
 //! intentional format change, and review the diff like any other
 //! code.
 
-use pas_lint::{lint_problem, render_human, render_json, LintConfig, SourceFile};
+use pas_lint::{lint_problem, render_human, render_json, SourceFile};
 use pas_spec::parse_problem_spanned;
 use std::path::PathBuf;
 
@@ -40,7 +40,7 @@ fn render_corpus() -> (String, String) {
     for name in &names {
         let source = std::fs::read_to_string(dir.join(name)).expect("readable spec");
         let spanned = parse_problem_spanned(&source).expect("corpus specs parse");
-        let report = lint_problem(&spanned.problem, &spanned.spans, &LintConfig::default());
+        let report = lint_problem(&spanned.problem, &spanned.spans);
         let file = SourceFile {
             name,
             text: &source,

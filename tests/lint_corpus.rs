@@ -2,7 +2,7 @@
 //! `tests/lint_corpus/` that must make exactly that rule fire, and
 //! the shipped example specs under `assets/` must stay error-clean.
 
-use pas_lint::{lint_problem, LintCode, LintConfig, LintReport, Severity};
+use pas_lint::{lint_problem, LintCode, LintReport, Severity};
 use pas_spec::parse_problem_spanned;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -64,7 +64,7 @@ fn lint_file(path: &Path) -> LintReport {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let spanned = parse_problem_spanned(&source)
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-    lint_problem(&spanned.problem, &spanned.spans, &LintConfig::default())
+    lint_problem(&spanned.problem, &spanned.spans)
 }
 
 fn corpus_dir() -> PathBuf {
@@ -144,7 +144,7 @@ fn lint_file_with_problem(path: &Path) -> (impacct::core::Problem, LintReport) {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let spanned = parse_problem_spanned(&source)
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-    let report = lint_problem(&spanned.problem, &spanned.spans, &LintConfig::default());
+    let report = lint_problem(&spanned.problem, &spanned.spans);
     (spanned.problem, report)
 }
 

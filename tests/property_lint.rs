@@ -319,3 +319,234 @@ fn deep_lint_sweep_256_zero_false_positives_with_certified_rejections() {
         "only {certified}/256 instances produced certified deep rejections"
     );
 }
+
+/// The parent computation of the path-based checks, kept as an oracle:
+/// one full `single_source_longest_paths` row per source, then the
+/// `PAS011` edges in edge-id order and the `PAS030`/`PAS020` pairs in
+/// ascending pair order, rendered as the lint renders them. A problem
+/// with a positive cycle gets `PAS010` instead, and none of these.
+fn path_check_oracle(problem: &impacct::core::Problem) -> [Vec<String>; 3] {
+    use impacct::graph::longest_path::single_source_longest_paths;
+    use impacct::graph::units::TimeSpan;
+    use impacct::graph::{EdgeKind, NodeId};
+
+    let g = problem.graph();
+    if single_source_longest_paths(g, NodeId::ANCHOR).is_err() {
+        return Default::default();
+    }
+    let label = |n: NodeId| match n.task() {
+        Some(t) => format!("\"{}\"", g.task(t).name()),
+        None => "anchor".to_string(),
+    };
+    let signed = |s: TimeSpan| {
+        if s >= TimeSpan::ZERO {
+            format!("+{s}")
+        } else {
+            s.to_string()
+        }
+    };
+    let row = |n: NodeId| single_source_longest_paths(g, n).expect("cycle-free sweep problem");
+    let rows: Vec<_> = g.task_ids().map(|t| row(t.node())).collect();
+
+    let mut redundant = Vec::new();
+    for (_, e) in g.edges() {
+        let tag = match e.kind() {
+            EdgeKind::MinSeparation => "min",
+            EdgeKind::MaxSeparation => "max",
+            _ => continue,
+        };
+        if e.from() == e.to() {
+            continue;
+        }
+        let dist = match e.from().task() {
+            Some(t) => rows[t.index()].distance(e.to()),
+            None => row(e.from()).distance(e.to()),
+        };
+        if let Some(dist) = dist.filter(|&d| d > e.weight()) {
+            redundant.push(format!(
+                "{tag} constraint {} -> {} (weight {}) is redundant: other constraints already force a separation of {}",
+                label(e.from()),
+                label(e.to()),
+                signed(e.weight()),
+                signed(dist),
+            ));
+        }
+    }
+
+    let (mut resource, mut power) = (Vec::new(), Vec::new());
+    let p_max = problem.constraints().p_max();
+    let tasks: Vec<_> = g.task_ids().collect();
+    for (i, &u) in tasks.iter().enumerate() {
+        for &v in &tasks[i + 1..] {
+            let forced = match (
+                rows[u.index()].distance(v.node()),
+                rows[v.index()].distance(u.node()),
+            ) {
+                (Some(lo), Some(rev)) => -rev < g.task(u).delay() && lo > -g.task(v).delay(),
+                _ => false,
+            };
+            if !forced {
+                continue;
+            }
+            let (nu, nv) = (label(u.node()), label(v.node()));
+            if g.same_resource(u, v) {
+                let r = g.resource(g.task(u).resource()).name();
+                resource.push(format!(
+                    "tasks {nu} and {nv} share resource \"{r}\" but their separations force them to overlap"
+                ));
+                continue;
+            }
+            let (pu, pv) = (g.task(u).power(), g.task(v).power());
+            let combined = pu
+                .saturating_add(pv)
+                .saturating_add(problem.background_power());
+            if combined > p_max {
+                power.push(format!(
+                    "tasks {nu} ({pu}) and {nv} ({pv}) are forced to overlap by their separations, stacking {combined} against the {p_max} budget"
+                ));
+            }
+        }
+    }
+    [redundant, resource, power]
+}
+
+/// The per-source pruned searches behind `PAS011`, `PAS030` and
+/// `PAS020` name exactly the edges and pairs that full per-source
+/// longest paths name, in the same order, on 60-task Random and
+/// Layered problems with dense max windows, tight and loose: plain
+/// (`PAS011`; tight windows force `PAS030` too), with a forced
+/// same-resource overlap (`PAS030`, or `PAS010` when the sabotage
+/// closes a positive cycle), and under a tight `P_max` (`PAS020`).
+#[test]
+fn path_checks_match_full_per_source_longest_paths() {
+    use impacct::workload::{GeneratorConfig, Topology};
+
+    let codes = [
+        LintCode::RedundantEdge,
+        LintCode::ForcedResourceOverlap,
+        LintCode::ForcedOverlapPower,
+    ];
+    let mut fired = [0usize; 3];
+    for seed in 0..16u64 {
+        for topology in [Topology::Random, Topology::Layered { layers: 6 }] {
+            for variant in 0..3 {
+                let mut problem = generate(&GeneratorConfig {
+                    seed: 0x5EA_2C4 + seed,
+                    tasks: 60,
+                    resources: 8,
+                    topology,
+                    max_window_probability: 0.5,
+                    window_margin: if seed % 2 == 0 { 0.5 } else { 4.0 },
+                    p_max_factor: if variant == 2 { 0.5 } else { 1.8 },
+                    ..GeneratorConfig::default()
+                });
+                if variant == 1 {
+                    sabotage(&mut problem, Sabotage::ForcedResourceOverlap, seed);
+                }
+                let report = lint(&problem);
+                let expected = path_check_oracle(&problem);
+                for (k, code) in codes.into_iter().enumerate() {
+                    let got: Vec<&str> = report.by_code(code).map(|d| d.message.as_str()).collect();
+                    assert_eq!(
+                        got, expected[k],
+                        "seed {seed}, {topology:?}, variant {variant}: {code} differs"
+                    );
+                    fired[k] += got.len();
+                }
+            }
+        }
+    }
+    for (code, n) in codes.into_iter().zip(fired) {
+        assert!(
+            n >= 10,
+            "{code} fired only {n} times: the sweep lost its teeth"
+        );
+    }
+}
+
+/// `PAS010` names the same contradiction on every run: with several
+/// independent min/max contradictions, the witness is the one with the
+/// smallest node pair, whatever order the edges were added in.
+#[test]
+fn positive_cycle_witness_is_the_same_every_time() {
+    use impacct::core::{PowerConstraints, Problem};
+    use impacct::graph::units::{Power, TimeSpan};
+    use impacct::graph::{ConstraintGraph, Resource, ResourceKind, Task};
+
+    let mut g = ConstraintGraph::new();
+    let r = g.add_resource(Resource::new("R", ResourceKind::Compute));
+    let ids: Vec<_> = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        .into_iter()
+        .map(|name| g.add_task(Task::new(name, r, TimeSpan::from_secs(1), Power::ZERO)))
+        .collect();
+    // Four independent contradictions, the smallest pair added last.
+    for pair in ids.chunks(2).rev() {
+        g.min_separation(pair[0], pair[1], TimeSpan::from_secs(10));
+        g.max_separation(pair[0], pair[1], TimeSpan::from_secs(4));
+    }
+    let problem = Problem::new("contradictions", g, PowerConstraints::unconstrained());
+    let witness = |p: &Problem| {
+        let report = lint(p);
+        let found: Vec<String> = report
+            .by_code(LintCode::PositiveCycle)
+            .map(|d| d.message.clone())
+            .collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        found.into_iter().next().unwrap()
+    };
+    let first = witness(&problem);
+    assert!(
+        first.contains("\"a\" -(min +10s)-> \"b\" -(max -4s)-> \"a\""),
+        "{first}"
+    );
+    for _ in 0..12 {
+        assert_eq!(witness(&problem), first);
+    }
+}
+
+/// Span-less `PAS011` warnings come out in edge-id order, so linting
+/// the same problem twice in one process gives the same sequence.
+#[test]
+fn redundant_edge_order_repeats_within_one_process() {
+    use impacct::core::{PowerConstraints, Problem};
+    use impacct::graph::units::{Power, TimeSpan};
+    use impacct::graph::{ConstraintGraph, Resource, ResourceKind, Task};
+
+    let mut g = ConstraintGraph::new();
+    let r = g.add_resource(Resource::new("R", ResourceKind::Compute));
+    let t: Vec<_> = (0..8)
+        .map(|i| {
+            g.add_task(Task::new(
+                format!("t{i}"),
+                r,
+                TimeSpan::from_secs(2),
+                Power::ZERO,
+            ))
+        })
+        .collect();
+    for w in t.windows(2) {
+        g.precedence(w[0], w[1]);
+    }
+    // Dominated separations from six different sources, added out of
+    // source order.
+    let dominated = [(5, 7), (0, 2), (3, 6), (1, 4), (4, 6), (2, 5)];
+    for &(u, v) in &dominated {
+        g.min_separation(t[u], t[v], TimeSpan::from_secs(1));
+    }
+    let problem = Problem::new("redundant", g, PowerConstraints::unconstrained());
+    let messages = || -> Vec<String> {
+        lint(&problem)
+            .by_code(LintCode::RedundantEdge)
+            .map(|d| d.message.clone())
+            .collect()
+    };
+    let first = messages();
+    assert_eq!(first.len(), dominated.len(), "{first:?}");
+    for (m, &(u, v)) in first.iter().zip(&dominated) {
+        assert!(
+            m.starts_with(&format!("min constraint \"t{u}\" -> \"t{v}\" (weight +1s)")),
+            "{m}"
+        );
+    }
+    assert_eq!(messages(), first);
+}
