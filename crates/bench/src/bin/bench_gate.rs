@@ -23,6 +23,14 @@
 //! baseline and fresh rows carry the field, so old baselines stay
 //! valid.
 //!
+//! Deterministic decision counters are gated **exactly**: a row whose
+//! baseline and fresh lines both carry one of [`COUNTERS`]
+//! (`BENCH_incremental.json`'s cache hits, deltas and fallbacks,
+//! `BENCH_lint.json`'s search nodes and bound prunes) fails unless the
+//! values are equal, whatever the tolerance. A counter that moved
+//! means the code now takes different decisions, which no timing
+//! tolerance should absorb.
+//!
 //! Rows are keyed by `workload` (plus `threads` where present). A row
 //! present in the baseline but missing from the fresh results fails
 //! the gate; new rows in the fresh results are allowed (the next
@@ -43,6 +51,17 @@
 
 use std::process::ExitCode;
 
+/// Deterministic decision counters, gated exactly when both the
+/// baseline and the fresh row carry them.
+const COUNTERS: [&str; 6] = [
+    "cache_hits",
+    "deltas",
+    "fallbacks",
+    "nodes_baseline",
+    "nodes_bounded",
+    "bound_prunes",
+];
+
 /// One comparable bench row.
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
@@ -51,6 +70,8 @@ struct Row {
     speedup: f64,
     measured_speedup: Option<f64>,
     wall_ms: Option<f64>,
+    /// The [`COUNTERS`] this row carries, in that order.
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl Row {
@@ -94,6 +115,27 @@ fn parse_rows(text: &str) -> Vec<Row> {
                 speedup,
                 measured_speedup: number_field(line, "measured_speedup"),
                 wall_ms: number_field(line, "wall_ms"),
+                counters: COUNTERS
+                    .iter()
+                    .filter_map(|&name| Some((name, number_field(line, name)? as u64)))
+                    .collect(),
+            })
+        })
+        .collect()
+}
+
+/// One message per counter both rows carry with different values.
+fn counter_drift(baseline: &Row, fresh: &Row) -> Vec<String> {
+    baseline
+        .counters
+        .iter()
+        .filter_map(|&(name, b)| {
+            let &(_, f) = fresh.counters.iter().find(|(n, _)| *n == name)?;
+            (f != b).then(|| {
+                format!(
+                    "{}: counter {name} is {f}, baseline {b} (counters are gated exactly)",
+                    baseline.key()
+                )
             })
         })
         .collect()
@@ -214,6 +256,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 b.speedup,
                 tolerance * 100.0
             ));
+        }
+        for drift in counter_drift(b, f) {
+            println!("{drift}  DRIFTED");
+            failures.push(drift);
         }
         if let (Some(bm), Some(fm)) = (b.measured_speedup, f.measured_speedup) {
             // Wall-clock thread-sweep rows are only meaningful when
@@ -353,6 +399,55 @@ mod tests {
     #[test]
     fn parse_provenance_is_none_for_old_files() {
         assert!(parse_provenance("{\n  \"bench\": \"parallel\"\n}\n").is_none());
+    }
+
+    const INCREMENTAL_ROW: &str = "    {\"workload\": \"generated_500\", \"tasks\": 500, \
+        \"incremental_ms\": 60.1, \"full_ms\": 1478.3, \"speedup\": 24.6, \
+        \"cache_hits\": 1142, \"deltas\": 960, \"fallbacks\": 1},";
+
+    fn row(line: &str) -> Row {
+        parse_rows(line).pop().expect("one row")
+    }
+
+    #[test]
+    fn a_drifted_counter_fails() {
+        let baseline = row(INCREMENTAL_ROW);
+        let fresh = row(&INCREMENTAL_ROW.replace("\"deltas\": 960", "\"deltas\": 961"));
+        assert_eq!(
+            counter_drift(&baseline, &fresh),
+            ["generated_500: counter deltas is 961, baseline 960 (counters are gated exactly)"]
+        );
+    }
+
+    #[test]
+    fn an_equal_counter_passes_whatever_the_timings() {
+        let baseline = row(INCREMENTAL_ROW);
+        let fresh = row(&INCREMENTAL_ROW.replace("60.1", "184.0"));
+        assert_eq!(fresh.counters.len(), 3);
+        assert!(counter_drift(&baseline, &fresh).is_empty());
+        let lint = row(
+            "{\"workload\": \"bnb_lint_bounds\", \"nodes_baseline\": 13097072, \
+             \"nodes_bounded\": 501, \"bound_prunes\": 1, \"speedup\": 26141.9},",
+        );
+        assert_eq!(
+            lint.counters,
+            [
+                ("nodes_baseline", 13_097_072),
+                ("nodes_bounded", 501),
+                ("bound_prunes", 1)
+            ]
+        );
+        assert!(counter_drift(&lint, &lint.clone()).is_empty());
+    }
+
+    #[test]
+    fn a_row_without_counters_is_unaffected() {
+        let server = row("{\"workload\": \"server_fresh\", \"requests\": 300, \
+             \"p50_us\": 450, \"speedup\": 1.0},");
+        assert!(server.counters.is_empty());
+        // A counter only one side carries is not gated either.
+        assert!(counter_drift(&server, &row(INCREMENTAL_ROW)).is_empty());
+        assert!(counter_drift(&row(INCREMENTAL_ROW), &server).is_empty());
     }
 
     #[test]

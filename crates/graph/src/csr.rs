@@ -216,10 +216,12 @@ impl FixedBitset {
         let mask = 1u64 << (i & 63);
         let fresh = *word & mask == 0;
         *word |= mask;
-        // Deliberately branchy: this toolchain's optimizer drops the
-        // increment when written as `self.ones += fresh as usize`
-        // (and as `usize::from(fresh)`) — see the release-mode unit
-        // test below, which pins the counter against exactly that.
+        // Deliberately branchy: the optimizer drops the increment when
+        // written as `self.ones += fresh as usize` (and as
+        // `usize::from(fresh)`). Re-checked on rustc 1.95.0: written
+        // that way, the release-mode unit test below still reads
+        // `len() == 0` after 8 inserts. That test pins the counter
+        // against exactly this.
         if fresh {
             self.ones += 1;
         }

@@ -5,11 +5,26 @@
 //! in strict stack order: [`ConstraintGraph::mark`] takes a checkpoint
 //! and [`ConstraintGraph::undo_to`] pops every edge added since — the
 //! "undo changes to G since step B" of the paper's Figs. 3, 4 and 6.
+//!
+//! Every journal entry carries a stamp that is never reused within a
+//! graph instance, and every instance (a clone included) has a
+//! process-unique id, so a `JournalStamp` names one journal prefix
+//! without reference to the edges in it.
 
 use crate::edge::{Edge, EdgeKind};
 use crate::id::{EdgeId, NodeId, ResourceId, TaskId};
 use crate::task::{Resource, Task};
 use crate::units::{Time, TimeSpan};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next unused graph instance id.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_instance() -> u64 {
+    // The id publishes no other data; `fetch_add` alone keeps ids
+    // unique.
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A checkpoint of the edge journal, returned by
 /// [`ConstraintGraph::mark`].
@@ -18,6 +33,21 @@ use crate::units::{Time, TimeSpan};
 /// discards younger ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphMark(usize);
+
+/// Names a prefix of one graph instance's edge journal, returned by
+/// `ConstraintGraph::journal_stamp`.
+///
+/// Two equal stamps name the same journal entries: the instance is the
+/// same, and the prefix's last entry was never undone (a popped entry's
+/// stamp is not reused, and the journal is a stack, so nothing below it
+/// was undone either). Unequal stamps prove nothing: a clone, or an
+/// undo followed by identical additions, may hold equal edges under a
+/// different stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JournalStamp {
+    instance: u64,
+    entry: u64,
+}
 
 /// A constraint graph: tasks (vertices), resources, and weighted
 /// constraint edges, plus the virtual anchor vertex.
@@ -39,11 +69,18 @@ pub struct GraphMark(usize);
 /// g.precedence(a, b); // b starts after a completes
 /// assert_eq!(g.num_tasks(), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct ConstraintGraph {
     tasks: Vec<Task>,
     resources: Vec<Resource>,
     edges: Vec<Edge>,
+    /// Journal stamp of each edge, parallel to `edges`.
+    stamps: Vec<u64>,
+    /// The last stamp handed out; stamps start at 1, so 0 names the
+    /// empty prefix.
+    last_stamp: u64,
+    /// Process-unique id of this instance.
+    instance: u64,
     /// Outgoing edge ids per node (anchor = index 0).
     out: Vec<Vec<EdgeId>>,
     /// Incoming edge ids per node.
@@ -60,6 +97,9 @@ impl ConstraintGraph {
             tasks: Vec::new(),
             resources: Vec::new(),
             edges: Vec::new(),
+            stamps: Vec::new(),
+            last_stamp: 0,
+            instance: fresh_instance(),
             out: vec![Vec::new()],
             incoming: vec![Vec::new()],
             by_resource: Vec::new(),
@@ -126,6 +166,8 @@ impl ConstraintGraph {
         self.out[edge.from().index()].push(id);
         self.incoming[edge.to().index()].push(id);
         self.edges.push(edge);
+        self.last_stamp += 1;
+        self.stamps.push(self.last_stamp);
         id
     }
 
@@ -214,6 +256,7 @@ impl ConstraintGraph {
         );
         while self.edges.len() > mark.0 {
             let edge = self.edges.pop().expect("journal length checked");
+            self.stamps.pop();
             let popped_out = self.out[edge.from().index()].pop();
             let popped_in = self.incoming[edge.to().index()].pop();
             debug_assert_eq!(
@@ -226,6 +269,20 @@ impl ConstraintGraph {
                 Some(self.edges.len()),
                 "adjacency out-of-sync during undo"
             );
+        }
+    }
+
+    /// The stamp of the journal prefix holding the first `len` edges.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds the current journal.
+    pub(crate) fn journal_stamp(&self, len: usize) -> JournalStamp {
+        JournalStamp {
+            instance: self.instance,
+            entry: match len {
+                0 => 0,
+                _ => self.stamps[len - 1],
+            },
         }
     }
 
@@ -360,6 +417,31 @@ impl ConstraintGraph {
     }
 }
 
+impl Default for ConstraintGraph {
+    fn default() -> Self {
+        ConstraintGraph::new()
+    }
+}
+
+impl Clone for ConstraintGraph {
+    /// An equal graph that is a new instance: an incremental engine
+    /// that validated the original compares the clone's journal by
+    /// value once before trusting it.
+    fn clone(&self) -> Self {
+        ConstraintGraph {
+            tasks: self.tasks.clone(),
+            resources: self.resources.clone(),
+            edges: self.edges.clone(),
+            stamps: self.stamps.clone(),
+            last_stamp: self.last_stamp,
+            instance: fresh_instance(),
+            out: self.out.clone(),
+            incoming: self.incoming.clone(),
+            by_resource: self.by_resource.clone(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +543,30 @@ mod tests {
         assert_eq!(g.num_edges(), m2.0);
         g.undo_to(m1);
         assert_eq!(g.num_edges(), m1.0);
+    }
+
+    #[test]
+    fn journal_stamps_name_undone_entries_apart() {
+        let (mut g, a, b) = graph_ab();
+        let len = g.num_edges();
+        let before = g.journal_stamp(len);
+        let mark = g.mark();
+        g.min_separation(a, b, TimeSpan::from_secs(1));
+        assert_eq!(g.journal_stamp(len), before, "appends keep the prefix");
+        let added = g.journal_stamp(len + 1);
+        g.undo_to(mark);
+        g.min_separation(a, b, TimeSpan::from_secs(1));
+        assert_ne!(g.journal_stamp(len + 1), added, "stamps are not reused");
+        assert_ne!(
+            g.clone().journal_stamp(len),
+            before,
+            "a clone is a new instance"
+        );
+        assert_ne!(
+            graph_ab().0.journal_stamp(0),
+            graph_ab().0.journal_stamp(0),
+            "independently built graphs are distinct instances"
+        );
     }
 
     #[test]

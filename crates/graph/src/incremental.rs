@@ -24,6 +24,14 @@
 //!   record the edge count of the path witnessing the current
 //!   distance; a counter reaching |V| therefore still proves a
 //!   positive cycle, exactly as in the from-scratch SPFA.
+//! * Each node keeps the parent it was last relaxed from (the
+//!   tight-edge forest after a full solve). Distances only rise between
+//!   two relaxations of a node, so every parent edge `p → v` of weight
+//!   `w` keeps `dist[p] + w ≥ dist[v]`, and the edge that closed a
+//!   cycle of parents did so with a strict gain: any cycle among the
+//!   parents is a positive cycle of the graph (Cherkassky & Goldberg
+//!   1999; CLRS Lemma 24.16). Checkpoints save the parents with the
+//!   distances they describe.
 //!
 //! # Fallback conditions
 //!
@@ -41,18 +49,33 @@
 //! * `"budget"` — the delta relaxation exceeded its operation budget,
 //!   so a fresh computation is at least as cheap.
 //!
-//! Because [`refresh`] validates the applied journal prefix against
-//! the live graph before trusting its cache, a caller that undoes the
-//! graph without restoring the checkpoint gets a (slow) full
-//! recomputation, never a wrong answer.
+//! [`refresh_verdict`] takes the same decisions but, when the parents
+//! already close a cycle at a `"cycle-suspect"`, answers "infeasible"
+//! without the full solve and its cycle extraction.
+//!
+//! # Prefix validation
+//!
+//! The cache is trusted only while the journal prefix it was computed
+//! from is still the live graph's. When the graph is the instance the
+//! engine last saw and its journal stamp at the applied length is
+//! unchanged, that holds in O(1). Otherwise — a graph instance the
+//! engine has not seen (a clone, a re-parsed request), or an undo
+//! without a paired [`restore`] — the applied edges are compared by
+//! value, so a caller that undoes the graph without restoring the
+//! checkpoint gets a (slow) full recomputation, never a wrong answer.
 //!
 //! [`refresh`]: IncrementalLongestPaths::refresh
+//! [`refresh_verdict`]: IncrementalLongestPaths::refresh_verdict
 //! [`restore`]: IncrementalLongestPaths::restore
 
-use crate::graph::ConstraintGraph;
-use crate::id::{NodeId, TaskId};
+use crate::edge::Edge;
+use crate::graph::{ConstraintGraph, JournalStamp};
+use crate::id::{EdgeId, NodeId, TaskId};
 use crate::longest_path::{single_source_longest_paths, LongestPaths, PositiveCycle};
 use crate::units::{Time, TimeSpan};
+
+/// The parent of the source and of every unreached node.
+const ROOT: u32 = u32::MAX;
 
 /// Why a [`refresh`] could not apply (or chose not to apply) the delta
 /// path. The string form is the fixed vocabulary used by trace events.
@@ -135,6 +158,9 @@ pub struct IncrementalStats {
     pub relaxations: u64,
     /// Checkpoint restores.
     pub restores: u64,
+    /// Infeasible verdicts proven from the parent pointers, without a
+    /// full recomputation.
+    pub cycle_proofs: u64,
 }
 
 /// A saved distance state, created by
@@ -149,8 +175,10 @@ pub struct IncrementalStats {
 #[derive(Debug, Clone)]
 pub struct LpCheckpoint {
     applied_len: usize,
+    seen: Option<JournalStamp>,
     dist: Vec<Option<TimeSpan>>,
     hops: Vec<u32>,
+    parent: Vec<u32>,
     feasible: bool,
     cycle: Option<PositiveCycle>,
     initialized: bool,
@@ -180,6 +208,10 @@ pub struct LpCheckpoint {
 /// g.precedence(a, b);
 /// assert!(matches!(inc.refresh(&g)?, Refresh::Delta { .. }));
 /// assert_eq!(inc.start_time(b).as_secs(), 2);
+///
+/// // b before a as well: only the verdict is asked for.
+/// g.precedence(b, a);
+/// assert_eq!(inc.refresh_verdict(&g), None);
 /// # Ok(())
 /// # }
 /// ```
@@ -188,9 +220,13 @@ pub struct IncrementalLongestPaths {
     source: NodeId,
     dist: Vec<Option<TimeSpan>>,
     hops: Vec<u32>,
+    /// The node each distance was last relaxed from, or [`ROOT`].
+    parent: Vec<u32>,
     /// Copy of the journal prefix the cached distances were computed
-    /// from; validated against the live graph on every refresh.
-    applied: Vec<crate::edge::Edge>,
+    /// from, for the value comparison.
+    applied: Vec<Edge>,
+    /// The live graph's stamp of `applied`, once validated.
+    seen: Option<JournalStamp>,
     feasible: bool,
     cycle: Option<PositiveCycle>,
     initialized: bool,
@@ -206,7 +242,9 @@ impl IncrementalLongestPaths {
             source,
             dist: Vec::new(),
             hops: Vec::new(),
+            parent: Vec::new(),
             applied: Vec::new(),
+            seen: None,
             feasible: false,
             cycle: None,
             initialized: false,
@@ -234,6 +272,30 @@ impl IncrementalLongestPaths {
     /// are unsatisfiable (identical to what the full recomputation
     /// reports on the same graph).
     pub fn refresh(&mut self, graph: &ConstraintGraph) -> Result<Refresh, PositiveCycle> {
+        self.update(graph, true)
+            .map_err(|cycle| cycle.expect("an extracting refresh reports its cycle"))
+    }
+
+    /// [`refresh`](Self::refresh) for a caller that needs only the
+    /// verdict: the same outcome when the constraints are satisfiable,
+    /// `None` when they are not.
+    ///
+    /// When a delta closes a cycle among the parent pointers, the
+    /// verdict is proven from them, skipping the full solve and the
+    /// cycle extraction that `refresh` runs. A later `refresh` of the
+    /// same graph still reports exactly the full recomputation's
+    /// cycle.
+    pub fn refresh_verdict(&mut self, graph: &ConstraintGraph) -> Option<Refresh> {
+        self.update(graph, false).ok()
+    }
+
+    /// The shared refresh; `Err(None)` is an infeasible verdict whose
+    /// cycle was not extracted, which only `extract: false` returns.
+    fn update(
+        &mut self,
+        graph: &ConstraintGraph,
+        extract: bool,
+    ) -> Result<Refresh, Option<PositiveCycle>> {
         let n = graph.num_nodes();
         if !self.initialized {
             return self.full(graph, FullReason::Init);
@@ -241,23 +303,21 @@ impl IncrementalLongestPaths {
         if self.dist.len() != n {
             return self.full(graph, FullReason::Resize);
         }
-        // Validate that what we applied is still a prefix of the live
-        // journal; a plain length check is not enough because an undo
-        // followed by different additions can restore the old length.
-        if graph.num_edges() < self.applied.len()
-            || graph
-                .edges()
-                .zip(self.applied.iter())
-                .any(|((_, live), applied)| live != applied)
-        {
+        if !self.prefix_is_live(graph) {
             return self.full(graph, FullReason::Removal);
         }
         if graph.num_edges() == self.applied.len() {
+            if self.feasible {
+                self.stats.cache_hits += 1;
+                return Ok(Refresh::CacheHit);
+            }
+            if self.cycle.is_none() && extract {
+                // A verdict proved this graph infeasible without
+                // extracting the cycle this caller asks for.
+                return self.full(graph, FullReason::CycleSuspect);
+            }
             self.stats.cache_hits += 1;
-            return match &self.cycle {
-                None => Ok(Refresh::CacheHit),
-                Some(c) => Err(c.clone()),
-            };
+            return Err(self.cycle.clone());
         }
         if !self.feasible {
             // Adding edges cannot repair a positive cycle, but the
@@ -280,16 +340,15 @@ impl IncrementalLongestPaths {
         // Seed: relax each new edge once; its source distance is
         // already correct (or None and the edge is inert for now).
         for idx in first_new..graph.num_edges() {
-            let e = *graph.edge(crate::id::EdgeId(idx as u32));
+            let e = *graph.edge(EdgeId(idx as u32));
             if let Some(du) = self.dist[e.from().index()] {
                 let cand = du + e.weight();
                 let v = e.to();
                 if self.dist[v.index()].map_or(true, |dv| cand > dv) {
-                    self.dist[v.index()] = Some(cand);
-                    self.hops[v.index()] = self.hops[e.from().index()] + 1;
+                    self.relax(e.from(), v, cand);
                     relaxations += 1;
                     if self.hops[v.index()] as usize >= n {
-                        return self.full(graph, FullReason::CycleSuspect);
+                        return self.cycle_suspected(graph, v, extract);
                     }
                     if !in_queue[v.index()] {
                         queue.push_back(v);
@@ -306,11 +365,10 @@ impl IncrementalLongestPaths {
                 let v = e.to();
                 let cand = du + e.weight();
                 if self.dist[v.index()].map_or(true, |dv| cand > dv) {
-                    self.dist[v.index()] = Some(cand);
-                    self.hops[v.index()] = self.hops[u.index()] + 1;
+                    self.relax(u, v, cand);
                     relaxations += 1;
                     if self.hops[v.index()] as usize >= n {
-                        return self.full(graph, FullReason::CycleSuspect);
+                        return self.cycle_suspected(graph, v, extract);
                     }
                     if relaxations > budget {
                         return self.full(graph, FullReason::Budget);
@@ -323,8 +381,7 @@ impl IncrementalLongestPaths {
             }
         }
 
-        self.applied
-            .extend(graph.edges().skip(first_new).map(|(_, e)| *e));
+        self.sync_applied(graph);
         self.stats.delta_refreshes += 1;
         self.stats.relaxations += relaxations;
         Ok(Refresh::Delta {
@@ -333,28 +390,99 @@ impl IncrementalLongestPaths {
         })
     }
 
+    /// Raises `v` to `dist` through the edge from `u`.
+    #[inline]
+    fn relax(&mut self, u: NodeId, v: NodeId, dist: TimeSpan) {
+        self.dist[v.index()] = Some(dist);
+        self.hops[v.index()] = self.hops[u.index()] + 1;
+        self.parent[v.index()] = u.0;
+    }
+
+    /// Whether the journal prefix the cache was computed from is still
+    /// the live graph's: in O(1) by stamp when the graph is the
+    /// instance last validated, otherwise by comparing the applied
+    /// edges' values (a match is then remembered by stamp).
+    fn prefix_is_live(&mut self, graph: &ConstraintGraph) -> bool {
+        let len = self.applied.len();
+        if graph.num_edges() < len {
+            return false;
+        }
+        let stamp = graph.journal_stamp(len);
+        if self.seen == Some(stamp) {
+            return true;
+        }
+        // An undo followed by different additions can restore the old
+        // length, so the values themselves are compared.
+        let live = graph
+            .edges()
+            .zip(self.applied.iter())
+            .all(|((_, live), applied)| live == applied);
+        if live {
+            self.seen = Some(stamp);
+        }
+        live
+    }
+
+    /// Extends the applied copy to the whole live journal.
+    fn sync_applied(&mut self, graph: &ConstraintGraph) {
+        let first_new = self.applied.len();
+        self.applied
+            .extend((first_new..graph.num_edges()).map(|i| *graph.edge(EdgeId(i as u32))));
+        self.seen = Some(graph.journal_stamp(graph.num_edges()));
+    }
+
+    /// A hop counter reached |V| at `v`. A walk of |V| parent steps
+    /// from `v` that never reaches a root has gone round a cycle of
+    /// parents, which proves a positive cycle: a verdict-only caller
+    /// gets its answer. Otherwise the full solve decides (and, for an
+    /// extracting caller, names the cycle).
+    fn cycle_suspected(
+        &mut self,
+        graph: &ConstraintGraph,
+        v: NodeId,
+        extract: bool,
+    ) -> Result<Refresh, Option<PositiveCycle>> {
+        if extract || !self.parents_cycle_from(v) {
+            return self.full(graph, FullReason::CycleSuspect);
+        }
+        // The state a failed full solve leaves, minus the cycle.
+        self.sync_applied(graph);
+        self.feasible = false;
+        self.cycle = None;
+        self.stats.cycle_proofs += 1;
+        Err(None)
+    }
+
+    /// Whether |V| parent steps from `v` never reach a root.
+    fn parents_cycle_from(&self, v: NodeId) -> bool {
+        let mut node = v.index();
+        for _ in 0..self.parent.len() {
+            match self.parent[node] {
+                ROOT => return false,
+                p => node = p as usize,
+            }
+        }
+        true
+    }
+
     /// Full recomputation via [`single_source_longest_paths`],
     /// replacing the cached state.
     fn full(
         &mut self,
         graph: &ConstraintGraph,
         reason: FullReason,
-    ) -> Result<Refresh, PositiveCycle> {
+    ) -> Result<Refresh, Option<PositiveCycle>> {
         self.stats.full_recomputes += 1;
         let n = graph.num_nodes();
         self.applied.clear();
-        self.applied.extend(graph.edges().map(|(_, e)| *e));
+        self.sync_applied(graph);
         self.initialized = true;
         match single_source_longest_paths(graph, self.source) {
             Ok(lp) => {
                 self.dist.clear();
                 self.dist
                     .extend((0..n).map(|i| lp.distance(NodeId(i as u32))));
-                // Recompute witness path lengths for the fresh
-                // distances so later deltas can keep proving acyclicity:
-                // a BFS-free upper bound is enough — re-derive hops by
-                // one relaxation sweep that never changes distances.
-                self.hops = rebuild_hops(graph, &self.dist, self.source);
+                self.rebuild_forest(graph);
                 self.feasible = true;
                 self.cycle = None;
                 Ok(Refresh::Full(reason))
@@ -362,9 +490,49 @@ impl IncrementalLongestPaths {
             Err(cycle) => {
                 self.feasible = false;
                 self.cycle = Some(cycle.clone());
-                Err(cycle)
+                Err(Some(cycle))
             }
         }
+    }
+
+    /// Re-derives hop counters and parents for fresh distances: a BFS
+    /// over the *tight* edges (`dist[u] + w == dist[v]`) from the
+    /// source. Every prefix of a distance-optimal path is itself
+    /// optimal, so the BFS reaches every reachable node, and its tree
+    /// gives each node a parent and the minimum witness length — a
+    /// simple path, so always `< n` on a feasible graph. Later deltas
+    /// keep proving acyclicity from these counters.
+    fn rebuild_forest(&mut self, graph: &ConstraintGraph) {
+        let n = graph.num_nodes();
+        self.hops.clear();
+        self.hops.resize(n, 0);
+        self.parent.clear();
+        self.parent.resize(n, ROOT);
+        let mut seen = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        if self.dist[self.source.index()].is_some() {
+            seen[self.source.index()] = true;
+            queue.push_back(self.source);
+        }
+        while let Some(u) = queue.pop_front() {
+            let du = self.dist[u.index()].expect("BFS visits reachable nodes");
+            for (_, e) in graph.out_edges(u) {
+                let v = e.to();
+                if seen[v.index()] {
+                    continue;
+                }
+                if self.dist[v.index()] == Some(du + e.weight()) {
+                    self.hops[v.index()] = self.hops[u.index()] + 1;
+                    self.parent[v.index()] = u.0;
+                    seen[v.index()] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        debug_assert!(
+            (0..n).all(|i| self.dist[i].is_none() || seen[i]),
+            "every reachable node has a tight-edge witness path"
+        );
     }
 
     /// Longest distance from the source to `node`, or `None` when
@@ -415,8 +583,10 @@ impl IncrementalLongestPaths {
     pub fn checkpoint(&self) -> LpCheckpoint {
         LpCheckpoint {
             applied_len: self.applied.len(),
+            seen: self.seen,
             dist: self.dist.clone(),
             hops: self.hops.clone(),
+            parent: self.parent.clone(),
             feasible: self.feasible,
             cycle: self.cycle.clone(),
             initialized: self.initialized,
@@ -428,8 +598,10 @@ impl IncrementalLongestPaths {
     /// like the journal itself).
     pub fn restore(&mut self, cp: &LpCheckpoint) {
         self.applied.truncate(cp.applied_len);
+        self.seen = cp.seen;
         self.dist.clone_from(&cp.dist);
         self.hops.clone_from(&cp.hops);
+        self.parent.clone_from(&cp.parent);
         self.feasible = cp.feasible;
         self.cycle.clone_from(&cp.cycle);
         self.initialized = cp.initialized;
@@ -437,47 +609,10 @@ impl IncrementalLongestPaths {
     }
 }
 
-/// Derives hop counters consistent with `dist`: for each node, the
-/// edge count of some path from `source` achieving its distance.
-///
-/// Every prefix of a distance-optimal path is itself optimal, so every
-/// reachable node is reachable through *tight* edges
-/// (`dist[u] + w == dist[v]`). A BFS over the tight subgraph therefore
-/// assigns each node the minimum witness length, which is a simple
-/// path: always `< n` on a feasible graph.
-fn rebuild_hops(graph: &ConstraintGraph, dist: &[Option<TimeSpan>], source: NodeId) -> Vec<u32> {
-    let n = graph.num_nodes();
-    let mut hops = vec![0u32; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    if dist[source.index()].is_some() {
-        seen[source.index()] = true;
-        queue.push_back(source);
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("BFS visits reachable nodes");
-        for (_, e) in graph.out_edges(u) {
-            let v = e.to();
-            if seen[v.index()] {
-                continue;
-            }
-            if dist[v.index()] == Some(du + e.weight()) {
-                hops[v.index()] = hops[u.index()] + 1;
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    debug_assert!(
-        (0..n).all(|i| dist[i].is_none() || seen[i]),
-        "every reachable node has a tight-edge witness path"
-    );
-    hops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge::Edge;
     use crate::longest_path::bellman_ford_reference;
     use crate::task::{Resource, ResourceKind, Task};
     use crate::units::Power;
@@ -520,6 +655,53 @@ mod tests {
         for i in 0..g.num_nodes() {
             assert!((inc.hops[i] as usize) < g.num_nodes().max(1));
         }
+        // Parent invariant: every parent edge is in the graph and not
+        // violated, and on a feasible graph the parents form a forest.
+        for (v, &p) in inc.parent.iter().enumerate() {
+            if p == ROOT {
+                continue;
+            }
+            let dp = inc.dist[p as usize].expect("parents have distances");
+            let dv = inc.dist[v].expect("children have distances");
+            assert!(
+                g.out_edges(NodeId(p))
+                    .any(|(_, e)| e.to().index() == v && dp + e.weight() >= dv),
+                "parent edge {p} -> {v} is missing or violated"
+            );
+        }
+        for v in 0..g.num_nodes() {
+            assert!(
+                !inc.parents_cycle_from(NodeId(v as u32)),
+                "parents cycle on a feasible graph"
+            );
+        }
+    }
+
+    /// Whether the value comparison alone accepts the applied prefix.
+    fn prefix_matches_by_value(inc: &IncrementalLongestPaths, g: &ConstraintGraph) -> bool {
+        g.num_edges() >= inc.applied.len()
+            && g.edges()
+                .zip(&inc.applied)
+                .all(|((_, live), applied)| live == applied)
+    }
+
+    /// Builds `g` again from scratch (a distinct instance), with one
+    /// second taken off the weight of edge `lower` if given. `g`'s
+    /// first `num_tasks` edges must be the tasks' own release edges.
+    fn rebuild(g: &ConstraintGraph, lower: Option<usize>) -> ConstraintGraph {
+        let mut h = ConstraintGraph::new();
+        h.add_resource(Resource::new("R", ResourceKind::Compute));
+        for (_, t) in g.tasks() {
+            h.add_task(t.clone());
+        }
+        for (id, e) in g.edges().skip(g.num_tasks()) {
+            let w = match lower {
+                Some(i) if i == id.index() => e.weight() - TimeSpan::from_secs(1),
+                _ => e.weight(),
+            };
+            h.add_edge(Edge::new(e.from(), e.to(), w, e.kind()));
+        }
+        h
     }
 
     #[test]
@@ -534,6 +716,7 @@ mod tests {
 
     #[test]
     fn delta_matches_oracle_over_random_edit_sequences() {
+        let mut cycle_proofs = 0;
         for seed in 0..40u64 {
             let n = 3 + (seed % 6) as usize;
             let (mut g, ids) = random_graph(seed * 77 + 1, n);
@@ -542,7 +725,7 @@ mod tests {
             inc.refresh(&g).unwrap();
             let mut marks = Vec::new();
             for _ in 0..60 {
-                match xorshift(&mut s) % 6 {
+                match xorshift(&mut s) % 8 {
                     // Append a random constraint edge.
                     0..=2 => {
                         let a = ids[(xorshift(&mut s) % n as u64) as usize];
@@ -570,17 +753,27 @@ mod tests {
                                 );
                             }
                         }
-                        match inc.refresh(&g) {
-                            Ok(_) => assert_matches_oracle(&inc, &g),
-                            Err(_) => {
-                                // Infeasible: the oracle must agree;
-                                // roll back so the walk continues.
-                                assert!(bellman_ford_reference(&g, NodeId::ANCHOR).is_err());
-                                g.undo_to(before.1);
-                                inc.restore(&before.0);
-                                assert_matches_oracle(&inc, &g);
+                        let oracle = bellman_ford_reference(&g, NodeId::ANCHOR);
+                        let full = || single_source_longest_paths(&g, NodeId::ANCHOR).unwrap_err();
+                        if xorshift(&mut s) % 2 == 0 {
+                            let verdict = inc.refresh_verdict(&g);
+                            assert_eq!(verdict.is_some(), oracle.is_ok(), "verdict vs oracle");
+                            // An infeasible verdict, then the cycle.
+                            if verdict.is_none() && xorshift(&mut s) % 2 == 0 {
+                                assert_eq!(inc.refresh(&g).unwrap_err(), full());
+                            }
+                        } else {
+                            match inc.refresh(&g) {
+                                Ok(_) => assert!(oracle.is_ok(), "refresh vs oracle"),
+                                Err(cycle) => assert_eq!(cycle, full()),
                             }
                         }
+                        if oracle.is_err() {
+                            // Roll back so the walk continues.
+                            g.undo_to(before.1);
+                            inc.restore(&before.0);
+                        }
+                        assert_matches_oracle(&inc, &g);
                     }
                     // Checkpoint.
                     3 => marks.push((inc.checkpoint(), g.mark())),
@@ -592,25 +785,99 @@ mod tests {
                             assert_matches_oracle(&inc, &g);
                         }
                     }
-                    // Undo WITHOUT restore: the prefix check must
-                    // force a full recompute, never a wrong answer.
-                    _ => {
+                    // Undo WITHOUT restore, sometimes re-adding the very
+                    // same edges: the refresh must take the value
+                    // comparison's decision, and never a wrong answer.
+                    5 => {
                         if let Some((_, m)) = marks.pop() {
+                            let journal: Vec<Edge> = g.edges().map(|(_, e)| *e).collect();
                             g.undo_to(m);
                             marks.clear(); // older lp checkpoints stay valid, but keep the walk simple
+                            let readd = xorshift(&mut s) % 2 == 0;
+                            if readd {
+                                for &e in &journal[g.num_edges()..] {
+                                    g.add_edge(e);
+                                }
+                            }
+                            let by_value = prefix_matches_by_value(&inc, &g);
                             let out = inc.refresh(&g).unwrap();
-                            if g.num_edges() != inc.applied.len() {
-                                unreachable!("refresh must sync the applied prefix");
-                            }
-                            if let Refresh::Delta { .. } = out {
-                                panic!("undo without restore must not take the delta path");
-                            }
+                            assert_eq!(
+                                out == Refresh::Full(FullReason::Removal),
+                                !by_value,
+                                "undo without restore (re-added: {readd}) took {out:?}"
+                            );
+                            assert_eq!(g.num_edges(), inc.applied.len());
                             assert_matches_oracle(&inc, &g);
                         }
                     }
+                    // A clone: one value comparison, then trusted.
+                    6 => {
+                        g = g.clone();
+                        assert_ne!(inc.seen, Some(g.journal_stamp(g.num_edges())));
+                        assert_eq!(inc.refresh(&g).unwrap(), Refresh::CacheHit);
+                        assert_eq!(inc.seen, Some(g.journal_stamp(g.num_edges())));
+                        assert_eq!(inc.refresh(&g).unwrap(), Refresh::CacheHit);
+                    }
+                    // The same journal built again independently, or
+                    // with one weight lowered (which keeps it feasible):
+                    // only the value comparison may accept it.
+                    _ => {
+                        let extra = (g.num_edges() - n) as u64;
+                        let lower = (extra > 0 && xorshift(&mut s) % 2 == 0)
+                            .then(|| n + (xorshift(&mut s) % extra) as usize);
+                        g = rebuild(&g, lower);
+                        let out = inc.refresh(&g).unwrap();
+                        if lower.is_some() {
+                            assert_eq!(out, Refresh::Full(FullReason::Removal));
+                            marks.clear(); // their distances are the old weights'
+                        } else {
+                            assert_eq!(out, Refresh::CacheHit);
+                        }
+                        assert_matches_oracle(&inc, &g);
+                    }
                 }
             }
+            cycle_proofs += inc.stats().cycle_proofs;
         }
+        assert!(cycle_proofs > 0, "no verdict was proven from the parents");
+    }
+
+    #[test]
+    fn independently_built_graphs_with_other_weights_are_not_trusted() {
+        let build = |secs| {
+            let (mut g, ids) = random_graph(5, 4);
+            g.min_separation(ids[0], ids[1], TimeSpan::from_secs(secs));
+            g
+        };
+        let (g1, g2) = (build(3), build(9));
+        assert_eq!(g1.num_edges(), g2.num_edges());
+        let mut inc = IncrementalLongestPaths::new(NodeId::ANCHOR);
+        inc.refresh(&g1).unwrap();
+        assert_eq!(
+            inc.refresh(&g2).unwrap(),
+            Refresh::Full(FullReason::Removal)
+        );
+        assert_matches_oracle(&inc, &g2);
+        // An equal graph built independently passes by value.
+        assert_eq!(inc.refresh(&build(9)).unwrap(), Refresh::CacheHit);
+    }
+
+    #[test]
+    fn a_verdict_proves_the_cycle_and_a_refresh_then_extracts_it() {
+        let (mut g, ids) = random_graph(3, 3);
+        let mut inc = IncrementalLongestPaths::new(NodeId::ANCHOR);
+        inc.refresh(&g).unwrap();
+        g.precedence(ids[0], ids[1]);
+        assert!(matches!(
+            inc.refresh_verdict(&g),
+            Some(Refresh::Delta { .. })
+        ));
+        g.max_separation(ids[0], ids[1], TimeSpan::ZERO);
+        assert_eq!(inc.refresh_verdict(&g), None);
+        assert_eq!(inc.stats().cycle_proofs, 1);
+        let full = single_source_longest_paths(&g, NodeId::ANCHOR).unwrap_err();
+        assert_eq!(inc.refresh(&g).unwrap_err(), full);
+        assert_eq!(inc.refresh(&g).unwrap_err(), full, "the cycle is cached");
     }
 
     #[test]

@@ -81,30 +81,31 @@ impl ScheduleContext {
             .expect("refresh is only called on the incremental path");
         let outcome = inc.refresh(graph)?;
         if obs.is_enabled() {
-            obs.on_event(&match outcome {
-                Refresh::CacheHit => TraceEvent::IncrementalCacheHit { stage: self.stage },
-                Refresh::Delta {
-                    new_edges,
-                    relaxations,
-                } => TraceEvent::IncrementalDelta {
-                    stage: self.stage,
-                    edges: new_edges as u64,
-                    relaxations,
-                },
-                Refresh::Full(reason) => TraceEvent::IncrementalFallback {
-                    stage: self.stage,
-                    reason: reason.as_str().to_string(),
-                },
-            });
+            obs.on_event(&refresh_event(self.stage, outcome));
         }
         Ok(())
     }
 
     /// Whether the current constraint graph is feasible (no positive
     /// cycle reachable from the anchor).
+    ///
+    /// The engine's verdict-only refresh serves it: a serialization
+    /// that closes a cycle is proven infeasible from the relaxation's
+    /// parent pointers, without the full solve and the cycle
+    /// extraction that [`Self::longest_paths`] runs. Like an
+    /// infeasible `longest_paths`, an infeasible verdict emits no
+    /// event.
     pub(crate) fn feasible<O: Observer>(&mut self, graph: &ConstraintGraph, obs: &mut O) -> bool {
-        match self.inc {
-            Some(_) => self.refresh(graph, obs).is_ok(),
+        match self.inc.as_mut() {
+            Some(inc) => match inc.refresh_verdict(graph) {
+                Some(outcome) => {
+                    if obs.is_enabled() {
+                        obs.on_event(&refresh_event(self.stage, outcome));
+                    }
+                    true
+                }
+                None => false,
+            },
             None => single_source_longest_paths(graph, NodeId::ANCHOR).is_ok(),
         }
     }
@@ -143,6 +144,26 @@ impl ScheduleContext {
         if let (Some(inc), Some(cp)) = (self.inc.as_mut(), mark.lp.as_ref()) {
             inc.restore(cp);
         }
+    }
+}
+
+/// The trace event recording how a successful refresh was served,
+/// attributed to `stage`.
+pub(crate) fn refresh_event(stage: StageKind, outcome: Refresh) -> TraceEvent {
+    match outcome {
+        Refresh::CacheHit => TraceEvent::IncrementalCacheHit { stage },
+        Refresh::Delta {
+            new_edges,
+            relaxations,
+        } => TraceEvent::IncrementalDelta {
+            stage,
+            edges: new_edges as u64,
+            relaxations,
+        },
+        Refresh::Full(reason) => TraceEvent::IncrementalFallback {
+            stage,
+            reason: reason.as_str().to_string(),
+        },
     }
 }
 

@@ -10,19 +10,24 @@
 //! journal-validated cache hit instead of a cold full SPFA per
 //! attempt.
 //!
-//! Safety of the warmth is the engine's own contract: `refresh`
-//! validates the applied journal prefix *by edge values* against the
-//! live graph, so a graph that only hashes equal but differs
-//! structurally degrades to a full recomputation — never a wrong
-//! distance. Longest-path distances are unique, so the warm and cold
+//! Safety of the warmth is the engine's own contract. Every request
+//! parses its own graph, a `ConstraintGraph` instance the engine has
+//! not seen, so the warm-up's `refresh` validates the applied journal
+//! prefix *by edge values* against it: a graph that only hashes equal
+//! but differs structurally degrades to a full recomputation — never a
+//! wrong distance. A match adopts the request graph's journal stamp
+//! (DESIGN.md §10), so the per-attempt copies of the engine, which
+//! refresh against that same graph, trust their prefix in O(1) from
+//! then on. Longest-path distances are unique, so the warm and cold
 //! paths compute identical schedules; the only observable difference
 //! is the incremental trace events (`IncrementalCacheHit` instead of
 //! a `full(init)` fallback).
 
-use pas_graph::incremental::{IncrementalLongestPaths, IncrementalStats, Refresh};
+use crate::context::refresh_event;
+use pas_graph::incremental::{IncrementalLongestPaths, IncrementalStats};
 use pas_graph::longest_path::PositiveCycle;
 use pas_graph::{ConstraintGraph, NodeId};
-use pas_obs::{Observer, StageKind, TraceEvent};
+use pas_obs::{Observer, StageKind};
 
 /// A long-lived incremental engine shared by every request that
 /// resolves to the same constraint graph.
@@ -32,8 +37,8 @@ use pas_obs::{Observer, StageKind, TraceEvent};
 /// [`PowerAwareScheduler::schedule_session_with`](crate::PowerAwareScheduler::schedule_session_with)
 /// on each repertoire miss. The context stays pinned at the base
 /// graph: the pipeline clones the engine into its per-attempt
-/// [`ScheduleContext`](crate::context), so speculative search edges
-/// never leak back into the session.
+/// `ScheduleContext`, so speculative search edges never leak back
+/// into the session.
 #[derive(Debug, Default)]
 pub struct SessionContext {
     engine: Option<IncrementalLongestPaths>,
@@ -74,23 +79,7 @@ impl SessionContext {
             .get_or_insert_with(|| IncrementalLongestPaths::new(NodeId::ANCHOR));
         let outcome = engine.refresh(graph)?;
         if obs.is_enabled() {
-            obs.on_event(&match outcome {
-                Refresh::CacheHit => TraceEvent::IncrementalCacheHit {
-                    stage: StageKind::MaxPower,
-                },
-                Refresh::Delta {
-                    new_edges,
-                    relaxations,
-                } => TraceEvent::IncrementalDelta {
-                    stage: StageKind::MaxPower,
-                    edges: new_edges as u64,
-                    relaxations,
-                },
-                Refresh::Full(reason) => TraceEvent::IncrementalFallback {
-                    stage: StageKind::MaxPower,
-                    reason: reason.as_str().to_string(),
-                },
-            });
+            obs.on_event(&refresh_event(StageKind::MaxPower, outcome));
         }
         Ok(&*engine)
     }
@@ -106,7 +95,7 @@ mod tests {
     use super::*;
     use pas_graph::units::{Power, TimeSpan};
     use pas_graph::{Resource, ResourceKind, Task};
-    use pas_obs::RecordingObserver;
+    use pas_obs::{RecordingObserver, TraceEvent};
 
     fn two_task_graph() -> ConstraintGraph {
         let mut g = ConstraintGraph::new();

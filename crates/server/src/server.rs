@@ -233,8 +233,8 @@ pub struct ServerReport {
     pub uptime_s: u64,
 }
 
-/// The scheduling daemon. See the [module docs](crate::server) for
-/// the lifecycle and [`ServerConfig`] for the knobs.
+/// The scheduling daemon. See DESIGN.md §16 for the connection
+/// lifecycle and [`ServerConfig`] for the knobs.
 pub struct Server {
     listener: TcpListener,
     pool: TaskPool,
