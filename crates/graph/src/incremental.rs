@@ -33,6 +33,17 @@
 //!   1999; CLRS Lemma 24.16). Checkpoints save the parents with the
 //!   distances they describe.
 //!
+//! # Checkpoints
+//!
+//! A [`checkpoint`] is O(1): the length of an undo trail plus a few
+//! scalars. From the first checkpoint on, every relaxation logs the
+//! node's old distance, hop count and parent, and a full
+//! recomputation moves the vectors it replaces onto the trail whole
+//! instead of overwriting them; [`restore`] unwinds the trail back to
+//! the checkpoint's length, so it costs what changed since, not |V|.
+//! An engine that is never checkpointed (a session's long-lived
+//! engine) logs nothing and keeps an empty trail.
+//!
 //! # Fallback conditions
 //!
 //! [`refresh`] transparently falls back to a full recomputation (and
@@ -66,12 +77,13 @@
 //!
 //! [`refresh`]: IncrementalLongestPaths::refresh
 //! [`refresh_verdict`]: IncrementalLongestPaths::refresh_verdict
+//! [`checkpoint`]: IncrementalLongestPaths::checkpoint
 //! [`restore`]: IncrementalLongestPaths::restore
 
 use crate::edge::Edge;
 use crate::graph::{ConstraintGraph, JournalStamp};
 use crate::id::{EdgeId, NodeId, TaskId};
-use crate::longest_path::{single_source_longest_paths, LongestPaths, PositiveCycle};
+use crate::longest_path::{single_source_longest_paths, PositiveCycle};
 use crate::units::{Time, TimeSpan};
 
 /// The parent of the source and of every unreached node.
@@ -165,23 +177,47 @@ pub struct IncrementalStats {
 
 /// A saved distance state, created by
 /// [`IncrementalLongestPaths::checkpoint`] and consumed by
-/// [`IncrementalLongestPaths::restore`].
+/// [`IncrementalLongestPaths::restore`]: a position on the engine's
+/// undo trail plus the engine's scalars, never a per-node copy.
 ///
 /// Like [`GraphMark`](crate::GraphMark), checkpoints follow the LIFO
 /// discipline of the edge journal: restore a checkpoint only in a
 /// state whose journal prefix below the checkpoint is unchanged
 /// (i.e. paired with the matching
-/// [`undo_to`](crate::ConstraintGraph::undo_to)).
+/// [`undo_to`](crate::ConstraintGraph::undo_to)), and only on the
+/// engine that took it. Restoring a checkpoint invalidates every
+/// checkpoint taken after it.
 #[derive(Debug, Clone)]
 pub struct LpCheckpoint {
+    trail_len: usize,
     applied_len: usize,
     seen: Option<JournalStamp>,
-    dist: Vec<Option<TimeSpan>>,
-    hops: Vec<u32>,
-    parent: Vec<u32>,
     feasible: bool,
     cycle: Option<PositiveCycle>,
     initialized: bool,
+}
+
+/// What one change to the per-node state replaced, so
+/// [`IncrementalLongestPaths::restore`] can put it back.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// A relaxation overwrote this node's entries.
+    Node {
+        node: u32,
+        dist: Option<TimeSpan>,
+        hops: u32,
+        parent: u32,
+    },
+    /// A full recomputation replaced the vectors whole.
+    Vectors(Box<NodeState>),
+}
+
+/// The per-node vectors a full recomputation replaces.
+#[derive(Debug, Clone)]
+struct NodeState {
+    dist: Vec<Option<TimeSpan>>,
+    hops: Vec<u32>,
+    parent: Vec<u32>,
 }
 
 /// Longest distances from a fixed source, maintained incrementally
@@ -230,6 +266,11 @@ pub struct IncrementalLongestPaths {
     feasible: bool,
     cycle: Option<PositiveCycle>,
     initialized: bool,
+    /// Whether a checkpoint has been taken, so changes must be logged.
+    trailing: bool,
+    /// Undo records of every per-node change since the first
+    /// checkpoint that no restore has unwound yet.
+    trail: Vec<Undo>,
     stats: IncrementalStats,
 }
 
@@ -248,6 +289,8 @@ impl IncrementalLongestPaths {
             feasible: false,
             cycle: None,
             initialized: false,
+            trailing: false,
+            trail: Vec::new(),
             stats: IncrementalStats::default(),
         }
     }
@@ -390,9 +433,18 @@ impl IncrementalLongestPaths {
         })
     }
 
-    /// Raises `v` to `dist` through the edge from `u`.
+    /// Raises `v` to `dist` through the edge from `u`, logging what it
+    /// overwrites once a checkpoint may need it back.
     #[inline]
     fn relax(&mut self, u: NodeId, v: NodeId, dist: TimeSpan) {
+        if self.trailing {
+            self.trail.push(Undo::Node {
+                node: v.0,
+                dist: self.dist[v.index()],
+                hops: self.hops[v.index()],
+                parent: self.parent[v.index()],
+            });
+        }
         self.dist[v.index()] = Some(dist);
         self.hops[v.index()] = self.hops[u.index()] + 1;
         self.parent[v.index()] = u.0;
@@ -479,6 +531,15 @@ impl IncrementalLongestPaths {
         self.initialized = true;
         match single_source_longest_paths(graph, self.source) {
             Ok(lp) => {
+                if self.trailing {
+                    // A checkpoint may need the replaced state back:
+                    // move it onto the trail rather than overwrite it.
+                    self.trail.push(Undo::Vectors(Box::new(NodeState {
+                        dist: std::mem::take(&mut self.dist),
+                        hops: std::mem::take(&mut self.hops),
+                        parent: std::mem::take(&mut self.parent),
+                    })));
+                }
                 self.dist.clear();
                 self.dist
                     .extend((0..n).map(|i| lp.distance(NodeId(i as u32))));
@@ -563,45 +624,54 @@ impl IncrementalLongestPaths {
         Time::ZERO + d
     }
 
-    /// Clones the cached distances into a standalone
-    /// [`LongestPaths`] (bit-identical to what the full computation
-    /// returns on the same graph).
-    ///
-    /// # Panics
-    /// Panics if called before a successful
-    /// [`refresh`](Self::refresh).
-    pub fn to_longest_paths(&self) -> LongestPaths {
-        assert!(
-            self.initialized && self.feasible,
-            "to_longest_paths() requires a successful refresh"
-        );
-        LongestPaths::from_parts(self.source, self.dist.clone())
-    }
-
-    /// Saves the current state; pair with [`restore`](Self::restore)
-    /// around speculative edge additions.
-    pub fn checkpoint(&self) -> LpCheckpoint {
+    /// Saves the current state in O(1); pair with
+    /// [`restore`](Self::restore) around speculative edge additions.
+    /// From the first checkpoint on, the engine logs every per-node
+    /// change so a restore can unwind it.
+    pub fn checkpoint(&mut self) -> LpCheckpoint {
+        self.trailing = true;
         LpCheckpoint {
+            trail_len: self.trail.len(),
             applied_len: self.applied.len(),
             seen: self.seen,
-            dist: self.dist.clone(),
-            hops: self.hops.clone(),
-            parent: self.parent.clone(),
             feasible: self.feasible,
             cycle: self.cycle.clone(),
             initialized: self.initialized,
         }
     }
 
-    /// Restores a previously saved state. Must be paired with the
+    /// Restores a previously saved state by unwinding the changes
+    /// logged since it. Must be paired with the
     /// [`ConstraintGraph::undo_to`] that pops the same edges (LIFO,
     /// like the journal itself).
     pub fn restore(&mut self, cp: &LpCheckpoint) {
+        debug_assert!(
+            cp.trail_len <= self.trail.len(),
+            "checkpoint restored out of LIFO order"
+        );
+        while self.trail.len() > cp.trail_len {
+            match self.trail.pop().expect("longer than the checkpoint") {
+                Undo::Node {
+                    node,
+                    dist,
+                    hops,
+                    parent,
+                } => {
+                    let i = node as usize;
+                    self.dist[i] = dist;
+                    self.hops[i] = hops;
+                    self.parent[i] = parent;
+                }
+                Undo::Vectors(state) => {
+                    let NodeState { dist, hops, parent } = *state;
+                    self.dist = dist;
+                    self.hops = hops;
+                    self.parent = parent;
+                }
+            }
+        }
         self.applied.truncate(cp.applied_len);
         self.seen = cp.seen;
-        self.dist.clone_from(&cp.dist);
-        self.hops.clone_from(&cp.hops);
-        self.parent.clone_from(&cp.parent);
         self.feasible = cp.feasible;
         self.cycle.clone_from(&cp.cycle);
         self.initialized = cp.initialized;
@@ -677,6 +747,12 @@ mod tests {
         }
     }
 
+    /// The per-node state, to check that a restore brings it back
+    /// exactly.
+    fn snapshot(inc: &IncrementalLongestPaths) -> (Vec<Option<TimeSpan>>, Vec<u32>, Vec<u32>) {
+        (inc.dist.clone(), inc.hops.clone(), inc.parent.clone())
+    }
+
     /// Whether the value comparison alone accepts the applied prefix.
     fn prefix_matches_by_value(inc: &IncrementalLongestPaths, g: &ConstraintGraph) -> bool {
         g.num_edges() >= inc.applied.len()
@@ -733,7 +809,7 @@ mod tests {
                         if a == b {
                             continue;
                         }
-                        let before = (inc.checkpoint(), g.mark());
+                        let before = (inc.checkpoint(), g.mark(), snapshot(&inc));
                         match xorshift(&mut s) % 3 {
                             0 => {
                                 g.min_separation(
@@ -772,16 +848,18 @@ mod tests {
                             // Roll back so the walk continues.
                             g.undo_to(before.1);
                             inc.restore(&before.0);
+                            assert_eq!(snapshot(&inc), before.2, "restore is exact");
                         }
                         assert_matches_oracle(&inc, &g);
                     }
                     // Checkpoint.
-                    3 => marks.push((inc.checkpoint(), g.mark())),
+                    3 => marks.push((inc.checkpoint(), g.mark(), snapshot(&inc))),
                     // Restore the newest checkpoint.
                     4 => {
-                        if let Some((cp, m)) = marks.pop() {
+                        if let Some((cp, m, state)) = marks.pop() {
                             g.undo_to(m);
                             inc.restore(&cp);
+                            assert_eq!(snapshot(&inc), state, "restore is exact");
                             assert_matches_oracle(&inc, &g);
                         }
                     }
@@ -789,7 +867,7 @@ mod tests {
                     // same edges: the refresh must take the value
                     // comparison's decision, and never a wrong answer.
                     5 => {
-                        if let Some((_, m)) = marks.pop() {
+                        if let Some((_, m, _)) = marks.pop() {
                             let journal: Vec<Edge> = g.edges().map(|(_, e)| *e).collect();
                             g.undo_to(m);
                             marks.clear(); // older lp checkpoints stay valid, but keep the walk simple
@@ -909,6 +987,54 @@ mod tests {
         assert!(inc.refresh(&g).is_err());
         g.undo_to(m);
         inc.restore(&cp);
+        assert_eq!(inc.refresh(&g).unwrap(), Refresh::CacheHit);
+        assert_matches_oracle(&inc, &g);
+    }
+
+    #[test]
+    fn an_engine_never_checkpointed_keeps_an_empty_trail() {
+        let (mut g, ids) = random_graph(11, 6);
+        let mut inc = IncrementalLongestPaths::new(NodeId::ANCHOR);
+        inc.refresh(&g).unwrap();
+        for w in ids.windows(2) {
+            g.precedence(w[0], w[1]);
+            assert!(matches!(inc.refresh(&g).unwrap(), Refresh::Delta { .. }));
+        }
+        assert!(inc.stats().relaxations > 0);
+        assert!(inc.trail.is_empty());
+        // The first checkpoint starts the log.
+        let cp = inc.checkpoint();
+        let m = g.mark();
+        g.min_separation(ids[0], ids[5], TimeSpan::from_secs(40));
+        inc.refresh(&g).unwrap();
+        assert!(!inc.trail.is_empty());
+        g.undo_to(m);
+        inc.restore(&cp);
+        assert!(inc.trail.is_empty());
+        assert_matches_oracle(&inc, &g);
+    }
+
+    #[test]
+    fn restore_unwinds_a_full_recomputation() {
+        let (mut g, ids) = random_graph(13, 5);
+        let mut inc = IncrementalLongestPaths::new(NodeId::ANCHOR);
+        inc.refresh(&g).unwrap();
+        let before: Vec<_> = inc.dist.clone();
+        let (cp, m0) = (inc.checkpoint(), g.mark());
+        g.precedence(ids[0], ids[1]);
+        let m1 = g.mark();
+        g.precedence(ids[1], ids[2]);
+        inc.refresh(&g).unwrap();
+        // An undo without a restore forces a full recomputation, which
+        // moves the replaced vectors onto the trail.
+        g.undo_to(m1);
+        assert_eq!(inc.refresh(&g).unwrap(), Refresh::Full(FullReason::Removal));
+        assert!(inc.trail.iter().any(|u| matches!(u, Undo::Vectors(_))));
+        assert_matches_oracle(&inc, &g);
+        g.undo_to(m0);
+        inc.restore(&cp);
+        assert!(inc.trail.is_empty());
+        assert_eq!(inc.dist, before);
         assert_eq!(inc.refresh(&g).unwrap(), Refresh::CacheHit);
         assert_matches_oracle(&inc, &g);
     }

@@ -35,13 +35,6 @@ pub struct LongestPaths {
 }
 
 impl LongestPaths {
-    /// Assembles a result from raw parts (used by the incremental
-    /// engine, whose distances are maintained rather than recomputed).
-    #[inline]
-    pub(crate) fn from_parts(source: NodeId, dist: Vec<Option<TimeSpan>>) -> Self {
-        LongestPaths { source, dist }
-    }
-
     /// The source node distances were computed from.
     #[inline]
     pub fn source(&self) -> NodeId {

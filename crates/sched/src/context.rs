@@ -15,9 +15,11 @@
 //! call sites and produce identical results — longest-path distances
 //! are unique, so the delta engine cannot disagree with the oracle.
 
+use pas_core::Schedule;
 use pas_graph::incremental::{IncrementalLongestPaths, LpCheckpoint, Refresh};
 use pas_graph::longest_path::{single_source_longest_paths, LongestPaths, PositiveCycle};
-use pas_graph::{ConstraintGraph, GraphMark, NodeId};
+use pas_graph::units::Time;
+use pas_graph::{ConstraintGraph, GraphMark, NodeId, TaskId};
 use pas_obs::{Observer, StageKind, TraceEvent};
 
 /// Cached scheduling state threaded through one solver invocation.
@@ -32,6 +34,28 @@ use pas_obs::{Observer, StageKind, TraceEvent};
 pub(crate) struct ScheduleContext {
     inc: Option<IncrementalLongestPaths>,
     stage: StageKind,
+}
+
+/// The anchor distances of the current graph: read in place from the
+/// incremental engine, or computed afresh by the oracle.
+pub(crate) enum Distances<'a> {
+    Engine(&'a IncrementalLongestPaths),
+    Oracle(LongestPaths),
+}
+
+impl Distances<'_> {
+    /// Earliest start time of `task`.
+    pub(crate) fn start_time(&self, task: TaskId) -> Time {
+        match self {
+            Distances::Engine(inc) => inc.start_time(task),
+            Distances::Oracle(lp) => lp.start_time(task),
+        }
+    }
+
+    /// The ASAP schedule these distances describe (`σ(c) := L(c)`).
+    pub(crate) fn schedule(&self, graph: &ConstraintGraph) -> Schedule {
+        Schedule::from_starts(graph.task_ids().map(|t| self.start_time(t)).collect())
+    }
 }
 
 /// A paired rollback point: the graph journal mark plus the matching
@@ -92,9 +116,8 @@ impl ScheduleContext {
     /// The engine's verdict-only refresh serves it: a serialization
     /// that closes a cycle is proven infeasible from the relaxation's
     /// parent pointers, without the full solve and the cycle
-    /// extraction that [`Self::longest_paths`] runs. Like an
-    /// infeasible `longest_paths`, an infeasible verdict emits no
-    /// event.
+    /// extraction that [`Self::distances`] runs. Like an infeasible
+    /// `distances`, an infeasible verdict emits no event.
     pub(crate) fn feasible<O: Observer>(&mut self, graph: &ConstraintGraph, obs: &mut O) -> bool {
         match self.inc.as_mut() {
             Some(inc) => match inc.refresh_verdict(graph) {
@@ -110,29 +133,30 @@ impl ScheduleContext {
         }
     }
 
-    /// The anchor longest paths for the current graph.
+    /// The anchor distances for the current graph, without copying
+    /// the engine's.
     ///
     /// # Errors
     /// The positive cycle making the constraints infeasible.
-    pub(crate) fn longest_paths<O: Observer>(
+    pub(crate) fn distances<O: Observer>(
         &mut self,
         graph: &ConstraintGraph,
         obs: &mut O,
-    ) -> Result<LongestPaths, PositiveCycle> {
+    ) -> Result<Distances<'_>, PositiveCycle> {
         match self.inc {
             Some(_) => {
                 self.refresh(graph, obs)?;
-                Ok(self.inc.as_ref().expect("checked above").to_longest_paths())
+                Ok(Distances::Engine(self.inc.as_ref().expect("checked above")))
             }
-            None => single_source_longest_paths(graph, NodeId::ANCHOR),
+            None => single_source_longest_paths(graph, NodeId::ANCHOR).map(Distances::Oracle),
         }
     }
 
-    /// Checkpoints the graph journal and the cached distances.
-    pub(crate) fn mark(&self, graph: &ConstraintGraph) -> CtxMark {
+    /// Checkpoints the graph journal and the cached distances, in O(1).
+    pub(crate) fn mark(&mut self, graph: &ConstraintGraph) -> CtxMark {
         CtxMark {
             graph: graph.mark(),
-            lp: self.inc.as_ref().map(IncrementalLongestPaths::checkpoint),
+            lp: self.inc.as_mut().map(IncrementalLongestPaths::checkpoint),
         }
     }
 
@@ -200,27 +224,21 @@ mod tests {
         let mut full = ScheduleContext::new(false, StageKind::Timing);
         let mut obs = NullObserver;
 
-        let a = inc.longest_paths(&g, &mut obs).unwrap();
-        let b = full.longest_paths(&g, &mut obs).unwrap();
-        for t in g.task_ids() {
-            assert_eq!(a.start_time(t), b.start_time(t));
-        }
+        let a = inc.distances(&g, &mut obs).unwrap().schedule(&g);
+        let b = full.distances(&g, &mut obs).unwrap().schedule(&g);
+        assert_eq!(a, b);
 
         let mark = inc.mark(&g);
         let ids: Vec<_> = g.task_ids().collect();
         g.min_separation(ids[0], ids[4], TimeSpan::from_secs(30));
-        let a = inc.longest_paths(&g, &mut obs).unwrap();
-        let b = full.longest_paths(&g, &mut obs).unwrap();
-        for t in g.task_ids() {
-            assert_eq!(a.start_time(t), b.start_time(t));
-        }
+        let a = inc.distances(&g, &mut obs).unwrap().schedule(&g);
+        let b = full.distances(&g, &mut obs).unwrap().schedule(&g);
+        assert_eq!(a, b);
 
         inc.undo_to(&mut g, &mark);
-        let a = inc.longest_paths(&g, &mut obs).unwrap();
-        let b = full.longest_paths(&g, &mut obs).unwrap();
-        for t in g.task_ids() {
-            assert_eq!(a.start_time(t), b.start_time(t));
-        }
+        let a = inc.distances(&g, &mut obs).unwrap().schedule(&g);
+        let b = full.distances(&g, &mut obs).unwrap().schedule(&g);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -228,11 +246,11 @@ mod tests {
         let mut g = chain(3);
         let mut ctx = ScheduleContext::new(true, StageKind::MaxPower);
         let mut rec = RecordingObserver::new();
-        ctx.longest_paths(&g, &mut rec).unwrap(); // full (init)
-        ctx.longest_paths(&g, &mut rec).unwrap(); // cache hit
+        ctx.distances(&g, &mut rec).unwrap(); // full (init)
+        ctx.distances(&g, &mut rec).unwrap(); // cache hit
         let ids: Vec<_> = g.task_ids().collect();
         g.min_separation(ids[0], ids[2], TimeSpan::from_secs(9));
-        ctx.longest_paths(&g, &mut rec).unwrap(); // delta
+        ctx.distances(&g, &mut rec).unwrap(); // delta
         let events: Vec<_> = rec.into_events();
         assert!(matches!(
             events[0],
@@ -262,7 +280,7 @@ mod tests {
         let mut ctx = ScheduleContext::new(false, StageKind::Timing);
         let mut rec = RecordingObserver::new();
         assert!(ctx.feasible(&g, &mut rec));
-        ctx.longest_paths(&g, &mut rec).unwrap();
+        ctx.distances(&g, &mut rec).unwrap();
         assert!(rec.is_empty());
     }
 }

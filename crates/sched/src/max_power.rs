@@ -21,29 +21,19 @@
 //! instances that are technically schedulable.
 
 use crate::config::{DelayPolicy, SchedulerConfig, SchedulerStats, VictimOrder};
-use crate::context::ScheduleContext;
+use crate::context::{CtxMark, ScheduleContext};
 use crate::error::ScheduleError;
 use crate::timing::schedule_timing_ctx;
-use pas_core::{slack, Interval, PowerProfile, ProfileMove, Schedule};
+use pas_core::{slack, DeltaArena, Interval, PowerProfile, ProfileMove, Schedule};
 use pas_graph::units::{Power, Time, TimeSpan};
 use pas_graph::{ConstraintGraph, TaskId};
-use pas_obs::{CountingObserver, NullObserver, Observer, RecordingObserver, StageKind, TraceEvent};
+use pas_obs::{CountingObserver, Observer, StageKind, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Hard cap on spike-elimination rounds, independent of problem size;
 /// purely a guard against pathological non-termination.
 const MAX_SPIKE_ROUNDS: usize = 100_000;
-
-/// Stack reservation for the solver thread each attempt runs on.
-///
-/// The `solve`/`eliminate_spike` mutual recursion can legitimately
-/// nest up to [`SchedulerConfig::max_recursions`] levels (the counter
-/// is cumulative, so nesting never exceeds it) — ~2k frames at the
-/// default, far past what a default 2 MiB thread stack tolerates in
-/// debug builds. The reservation is address space, not memory: pages
-/// are only committed as the recursion actually touches them.
-const SOLVE_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Runs the max-power scheduler: timing scheduling, spike elimination
 /// under `p_max`, and a final left-edge compaction pass (see
@@ -183,7 +173,7 @@ pub(crate) fn schedule_max_power_seeded<O: Observer>(
             Some(engine) => ScheduleContext::with_engine(engine.clone(), StageKind::MaxPower),
             None => ScheduleContext::new(attempt.incremental, StageKind::MaxPower),
         };
-        let result = solve_on_solver_stack(
+        let result = solve(
             graph,
             &mut ctx,
             p_max,
@@ -214,71 +204,19 @@ pub(crate) fn schedule_max_power_seeded<O: Observer>(
     Err(last_err.expect("at least one attempt ran"))
 }
 
-/// Runs one attempt's [`solve`] on a dedicated scoped thread with a
-/// [`SOLVE_STACK_BYTES`] stack, so the deep `solve`/`eliminate_spike`
-/// descent cannot overflow the calling thread's default stack.
+/// One attempt of the `MaxPowerScheduler` recursion (Fig. 4): a
+/// timing run, then spike elimination, where a spike that needs a
+/// global reschedule nests a new [`Level`] — another timing run under
+/// the release and lock edges just added.
 ///
-/// Trace events are buffered on the solver thread and replayed into
-/// `obs` in emission order after the join, so the observable trace is
-/// byte-identical to running `solve` inline (the buffered-replay
-/// idiom the partitioned B&B already uses, DESIGN.md §12). When `obs`
-/// is disabled the solver runs against a [`NullObserver`] and nothing
-/// is buffered.
-#[allow(clippy::too_many_arguments)]
-fn solve_on_solver_stack<O: Observer>(
-    graph: &mut ConstraintGraph,
-    ctx: &mut ScheduleContext,
-    p_max: Power,
-    background: Power,
-    config: &SchedulerConfig,
-    rng: &mut StdRng,
-    recursions: &mut usize,
-    obs: &mut O,
-) -> Result<Schedule, ScheduleError> {
-    let enabled = obs.is_enabled();
-    let (result, log) = std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("pas-max-power".into())
-            .stack_size(SOLVE_STACK_BYTES)
-            .spawn_scoped(scope, move || {
-                if enabled {
-                    let mut recorder = RecordingObserver::new();
-                    let result = solve(
-                        graph,
-                        ctx,
-                        p_max,
-                        background,
-                        config,
-                        rng,
-                        recursions,
-                        &mut recorder,
-                    );
-                    (result, recorder.into_events())
-                } else {
-                    let result = solve(
-                        graph,
-                        ctx,
-                        p_max,
-                        background,
-                        config,
-                        rng,
-                        recursions,
-                        &mut NullObserver,
-                    );
-                    (result, Vec::new())
-                }
-            })
-            .expect("spawn max-power solver thread")
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-    });
-    for event in &log {
-        obs.on_event(event);
-    }
-    result
-}
-
-/// One level of the recursive `MaxPowerScheduler`.
+/// The levels live on an explicit stack, so the native stack stays
+/// flat however deep the rescheduling nests (up to
+/// [`SchedulerConfig::max_recursions`] levels: the counter is
+/// cumulative, so nesting never exceeds it), and the attempt runs on
+/// the caller's thread with its events streamed live. The first level
+/// to reach a power-valid schedule ends the attempt; a level that
+/// fails hands its error to its parent, which undoes the elimination
+/// that nested it and tries its next one.
 #[allow(clippy::too_many_arguments)]
 fn solve<O: Observer>(
     graph: &mut ConstraintGraph,
@@ -290,47 +228,170 @@ fn solve<O: Observer>(
     recursions: &mut usize,
     obs: &mut O,
 ) -> Result<Schedule, ScheduleError> {
-    let mut sigma = schedule_timing_ctx(graph, config, ctx, obs)?;
-
-    // The profile is rebuilt in full once per timing run and then
-    // delta-maintained across spike rounds: each round moves a handful
-    // of victims, and `with_moves` reproduces the canonical profile of
-    // the updated schedule exactly (see `pas_core::PowerProfile`).
-    let mut profile = PowerProfile::of_schedule(graph, &sigma, background);
-    // Breakpoint arena for the delta rebuilds: each accepted move
-    // batch retires the previous profile, whose storage is recycled
-    // into the next rebuild — the loop is allocation-free in the
-    // steady state (`DESIGN.md` §15). This loop is sequential (one
-    // standing profile per solve frame), so arena reuse cannot race.
-    let mut delta_arena = pas_core::DeltaArena::new();
-    for _round in 0..MAX_SPIKE_ROUNDS {
-        let Some(spike) = profile.segments().find(|s| s.power > p_max) else {
-            return Ok(sigma); // power-valid
-        };
-        let t = spike.start;
-        let spike_end = spike.end;
-        if obs.is_enabled() {
-            obs.on_event(&TraceEvent::SpikeDetected {
-                t,
-                power: spike.power,
-                budget: p_max,
-            });
+    let mut levels: Vec<Level> = Vec::new();
+    // `None` enters a new level; `Some` is the error of the level
+    // that just failed, for its parent.
+    let mut failed: Option<ScheduleError> = None;
+    loop {
+        if failed.is_none() {
+            match schedule_timing_ctx(graph, config, ctx, obs) {
+                Ok(sigma) => levels.push(Level::new(graph, sigma, background)),
+                Err(e) => failed = Some(e),
+            }
         }
+        let Some(level) = levels.last_mut() else {
+            return Err(failed.expect("only a failure empties the stack"));
+        };
+        match level.eliminate_spikes(
+            failed.take(),
+            graph,
+            ctx,
+            p_max,
+            background,
+            config,
+            rng,
+            recursions,
+            obs,
+        ) {
+            Step::PowerValid => return Ok(levels.pop().expect("the level just run").sigma),
+            Step::Nest => {}
+            Step::Failed(e) => {
+                levels.pop();
+                failed = Some(e);
+            }
+        }
+    }
+}
 
-        let mut last_err = None;
-        let mut resolved_locally = false;
-        for attempt in 0..=config.max_respins {
+/// One level of the recursion: a time-valid schedule, its power
+/// profile, and where its spike scan stands.
+struct Level {
+    sigma: Schedule,
+    /// Rebuilt in full once per timing run and then delta-maintained
+    /// across spike rounds: each round moves a handful of victims, and
+    /// `with_moves` reproduces the canonical profile of the updated
+    /// schedule exactly (see `pas_core::PowerProfile`).
+    profile: PowerProfile,
+    /// Breakpoint arena for the delta rebuilds: each accepted move
+    /// batch retires the previous profile, whose storage is recycled
+    /// into the next rebuild — the loop is allocation-free in the
+    /// steady state (`DESIGN.md` §15). One per level, and only the top
+    /// level runs, so arena reuse cannot race.
+    delta_arena: DeltaArena,
+    /// Spike rounds started, bounded by [`MAX_SPIKE_ROUNDS`].
+    rounds: usize,
+    /// The spike being eliminated (start, end), if any.
+    spike: Option<(Time, Time)>,
+    /// The elimination attempt on that spike: how many victims beyond
+    /// the necessary ones it delays.
+    attempt: usize,
+    /// Why the previous attempt on that spike failed.
+    last_err: Option<ScheduleError>,
+    /// The rollback point of the elimination whose nested level is
+    /// running.
+    mark: Option<CtxMark>,
+}
+
+/// How a level's spike scan stopped.
+enum Step {
+    /// No spike is left: the level's schedule is the result.
+    PowerValid,
+    /// An elimination needs a global reschedule: run a nested level.
+    Nest,
+    /// Every elimination of a spike failed.
+    Failed(ScheduleError),
+}
+
+impl Level {
+    fn new(graph: &ConstraintGraph, sigma: Schedule, background: Power) -> Level {
+        let profile = PowerProfile::of_schedule(graph, &sigma, background);
+        Level {
+            sigma,
+            profile,
+            delta_arena: DeltaArena::new(),
+            rounds: 0,
+            spike: None,
+            attempt: 0,
+            last_err: None,
+            mark: None,
+        }
+    }
+
+    /// Scans for spikes and eliminates them until the schedule is
+    /// power-valid, a reschedule must nest, or a spike defeats every
+    /// attempt. `nested` is the error of this level's failed nested
+    /// level, if it resumes after one: that elimination is undone and
+    /// counts as a failed attempt.
+    #[allow(clippy::too_many_arguments)]
+    fn eliminate_spikes<O: Observer>(
+        &mut self,
+        nested: Option<ScheduleError>,
+        graph: &mut ConstraintGraph,
+        ctx: &mut ScheduleContext,
+        p_max: Power,
+        background: Power,
+        config: &SchedulerConfig,
+        rng: &mut StdRng,
+        recursions: &mut usize,
+        obs: &mut O,
+    ) -> Step {
+        if let Some(e) = nested {
+            let mark = self.mark.take().expect("a level resumes after nesting");
+            ctx.undo_to(graph, &mark);
+            if let Err(e) = self.attempt_failed(e) {
+                return Step::Failed(e);
+            }
+        }
+        loop {
+            let (t, spike_end) = match self.spike {
+                Some(spike) => spike,
+                None => {
+                    if self.rounds == MAX_SPIKE_ROUNDS {
+                        return Step::Failed(ScheduleError::RecursionLimit {
+                            limit: MAX_SPIKE_ROUNDS,
+                        });
+                    }
+                    self.rounds += 1;
+                    let Some(spike) = self.profile.segments().find(|s| s.power > p_max) else {
+                        return Step::PowerValid;
+                    };
+                    if obs.is_enabled() {
+                        obs.on_event(&TraceEvent::SpikeDetected {
+                            t: spike.start,
+                            power: spike.power,
+                            budget: p_max,
+                        });
+                    }
+                    self.spike = Some((spike.start, spike.end));
+                    self.attempt = 0;
+                    self.last_err = None;
+                    (spike.start, spike.end)
+                }
+            };
+            if self.attempt > config.max_respins {
+                return Step::Failed(self.last_err.take().expect("an attempt failed"));
+            }
             match eliminate_spike(
-                graph, ctx, &sigma, &profile, t, spike_end, attempt, p_max, background, config,
-                rng, recursions, obs,
+                graph,
+                ctx,
+                &self.sigma,
+                &self.profile,
+                t,
+                spike_end,
+                self.attempt,
+                p_max,
+                config,
+                rng,
+                recursions,
+                obs,
             ) {
                 Ok(Elimination::Local(new_sigma, moves)) => {
-                    sigma = new_sigma;
+                    self.sigma = new_sigma;
                     if config.incremental {
-                        let updated = profile.with_moves_in(
+                        let updated = self.profile.with_moves_in(
                             &moves,
-                            sigma.finish_time(graph),
-                            &mut delta_arena,
+                            self.sigma.finish_time(graph),
+                            &mut self.delta_arena,
                         );
                         if obs.is_enabled() {
                             obs.on_event(&TraceEvent::IncrementalDelta {
@@ -339,30 +400,37 @@ fn solve<O: Observer>(
                                 relaxations: updated.segments().count() as u64,
                             });
                         }
-                        delta_arena.recycle(std::mem::replace(&mut profile, updated));
+                        self.delta_arena
+                            .recycle(std::mem::replace(&mut self.profile, updated));
                     } else {
-                        profile = PowerProfile::of_schedule(graph, &sigma, background);
+                        self.profile = PowerProfile::of_schedule(graph, &self.sigma, background);
                     }
-                    resolved_locally = true;
-                    break;
+                    self.spike = None;
                 }
-                Ok(Elimination::Rescheduled(final_sigma)) => return Ok(final_sigma),
+                Ok(Elimination::Nest(mark)) => {
+                    self.mark = Some(mark);
+                    return Step::Nest;
+                }
                 Err(e) => {
-                    last_err = Some(e);
-                    if matches!(last_err, Some(ScheduleError::RecursionLimit { .. })) {
-                        break;
+                    if let Err(e) = self.attempt_failed(e) {
+                        return Step::Failed(e);
                     }
                 }
             }
         }
-        if !resolved_locally {
-            return Err(last_err.expect("attempt loop ran at least once"));
-        }
     }
 
-    Err(ScheduleError::RecursionLimit {
-        limit: MAX_SPIKE_ROUNDS,
-    })
+    /// Records a failed elimination attempt and moves to the next. A
+    /// recursion limit is returned instead: no further attempt may
+    /// recurse, so it fails the level.
+    fn attempt_failed(&mut self, e: ScheduleError) -> Result<(), ScheduleError> {
+        if matches!(e, ScheduleError::RecursionLimit { .. }) {
+            return Err(e);
+        }
+        self.last_err = Some(e);
+        self.attempt += 1;
+        Ok(())
+    }
 }
 
 enum Elimination {
@@ -371,9 +439,11 @@ enum Elimination {
     /// Carries the applied window moves so the caller can
     /// delta-rebuild its power profile.
     Local(Schedule, Vec<ProfileMove>),
-    /// A global reschedule was required and succeeded all the way to a
-    /// power-valid schedule.
-    Rescheduled(Schedule),
+    /// A global reschedule is required: the victims are released and
+    /// the remaining simultaneous tasks locked. Carries the rollback
+    /// point taken before any of that, for when the nested level
+    /// fails.
+    Nest(CtxMark),
 }
 
 /// Removes the spike at `t`, delaying `extra` additional victims
@@ -388,7 +458,6 @@ fn eliminate_spike<O: Observer>(
     spike_end: Time,
     extra: usize,
     p_max: Power,
-    background: Power,
     config: &SchedulerConfig,
     rng: &mut StdRng,
     recursions: &mut usize,
@@ -499,8 +568,8 @@ fn eliminate_spike<O: Observer>(
 
     // Lock the remaining simultaneous tasks at their current start
     // times (§5.2) so the reschedule does not disturb them; if that
-    // turns out over-constrained the recursion fails and the caller
-    // retries without them (undo below removes the locks too).
+    // turns out over-constrained the nested level fails and the caller
+    // retries without them (undoing the mark removes the locks too).
     if config.lock_remaining {
         for &u in &active {
             if obs.is_enabled() {
@@ -513,13 +582,7 @@ fn eliminate_spike<O: Observer>(
         }
     }
 
-    match solve(graph, ctx, p_max, background, config, rng, recursions, obs) {
-        Ok(s) => Ok(Elimination::Rescheduled(s)),
-        Err(e) => {
-            ctx.undo_to(graph, &mark);
-            Err(e)
-        }
-    }
+    Ok(Elimination::Nest(mark))
 }
 
 /// Pops the next spike victim from `active` according to the

@@ -17,7 +17,7 @@
 //! budget allows).
 
 use crate::config::{CommitOrder, SchedulerConfig, SchedulerStats};
-use crate::context::ScheduleContext;
+use crate::context::{CtxMark, ScheduleContext};
 use crate::error::ScheduleError;
 use crate::telemetry::{SearchStats, SEARCH_SAMPLE_INTERVAL};
 use pas_core::Schedule;
@@ -101,7 +101,7 @@ pub(crate) fn schedule_timing_ctx<O: Observer>(
 ) -> Result<Schedule, ScheduleError> {
     // Fail fast (and distinguish "inherently infeasible" from "no
     // ordering found"): the original constraints must be satisfiable.
-    if let Err(cycle) = ctx.longest_paths(graph, obs) {
+    if let Err(cycle) = ctx.distances(graph, obs) {
         return Err(ScheduleError::Infeasible(cycle));
     }
 
@@ -131,7 +131,6 @@ pub(crate) fn schedule_timing_ctx<O: Observer>(
         graph,
         ctx,
         &mut topo,
-        0,
         &mut budget,
         rotation,
         &mut rng,
@@ -140,10 +139,10 @@ pub(crate) fn schedule_timing_ctx<O: Observer>(
     );
     match outcome {
         CommitOutcome::Done => {
-            let lp = ctx
-                .longest_paths(graph, obs)
-                .expect("final serialization was checked feasible");
-            let schedule = Schedule::from_longest_paths(graph, &lp);
+            let schedule = ctx
+                .distances(graph, obs)
+                .expect("final serialization was checked feasible")
+                .schedule(graph);
             meter.stats.incumbent_improvements = 1;
             if obs.is_enabled() {
                 obs.on_event(&TraceEvent::IncumbentImproved {
@@ -277,123 +276,140 @@ struct TimingMeter {
     sample_every: u64,
 }
 
-/// Recursively commits tasks in every feasible topological order until
-/// all are committed ("a time-valid schedule is returned when all
-/// vertices are scheduled").
+/// One level of the search: its ordered candidate frontier, the next
+/// candidate to try, and the candidate it has committed together with
+/// the rollback point taken just before.
+struct Frame {
+    candidates: Vec<TaskId>,
+    next: usize,
+    committed: Option<(TaskId, CtxMark)>,
+}
+
+/// Commits tasks in every feasible topological order until all are
+/// committed ("a time-valid schedule is returned when all vertices are
+/// scheduled"): a depth-first search over an explicit stack of
+/// [`Frame`]s, one per committed task, so the native stack stays flat
+/// whatever the task count.
 #[allow(clippy::too_many_arguments)]
 fn commit_all<O: Observer>(
     graph: &mut ConstraintGraph,
     ctx: &mut ScheduleContext,
     topo: &mut TopoState,
-    num_committed: usize,
     budget: &mut usize,
     rotation: usize,
     rng: &mut Option<StdRng>,
     meter: &mut TimingMeter,
     obs: &mut O,
 ) -> CommitOutcome {
-    if num_committed == graph.num_tasks() {
-        return CommitOutcome::Done;
-    }
+    let mut frames: Vec<Frame> = Vec::new();
+    loop {
+        // Enter the level below every committed task.
+        let num_committed = frames.len();
+        if num_committed == graph.num_tasks() {
+            return CommitOutcome::Done;
+        }
 
-    // Current longest paths order the candidate frontier (earliest
-    // ASAP time first — the most natural topological ordering to try).
-    let lp = match ctx.longest_paths(graph, obs) {
-        Ok(lp) => lp,
-        Err(_) => return CommitOutcome::Dead,
-    };
+        // Current longest paths order the candidate frontier (earliest
+        // ASAP time first — the most natural topological ordering to
+        // try). A level whose constraints are infeasible is dead on
+        // entry: its parent backtracks below.
+        if let Ok(dist) = ctx.distances(graph, obs) {
+            let mut candidates: Vec<TaskId> = topo.frontier();
+            match rng {
+                None => {
+                    candidates.sort_by_key(|&t| (dist.start_time(t), t));
+                    if rotation > 0 && candidates.len() > 1 {
+                        // Deterministic Fisher–Yates driven by a
+                        // SplitMix64 stream keyed on (variation, depth):
+                        // different variation indices explore
+                        // systematically different serializations
+                        // regardless of any RNG implementation.
+                        let mut state = (rotation as u64) ^ ((num_committed as u64) << 32);
+                        for i in (1..candidates.len()).rev() {
+                            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                            let j = (splitmix64(state) % (i as u64 + 1)) as usize;
+                            candidates.swap(i, j);
+                        }
+                    }
+                }
+                Some(rng) => candidates.shuffle(rng),
+            }
+            frames.push(Frame {
+                candidates,
+                next: 0,
+                committed: None,
+            });
+        }
 
-    let mut candidates: Vec<TaskId> = topo.frontier();
-    match rng {
-        None => {
-            candidates.sort_by_key(|&t| (lp.start_time(t), t));
-            if rotation > 0 && candidates.len() > 1 {
-                // Deterministic Fisher–Yates driven by a SplitMix64
-                // stream keyed on (variation, depth): different
-                // variation indices explore systematically different
-                // serializations regardless of any RNG implementation.
-                let mut state = (rotation as u64) ^ ((num_committed as u64) << 32);
-                for i in (1..candidates.len()).rev() {
-                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let j = (splitmix64(state) % (i as u64 + 1)) as usize;
-                    candidates.swap(i, j);
+        // Backtrack the top level's committed task, if any, and commit
+        // its next candidate; stop at the first feasible one and
+        // descend. An exhausted level is dead: pop it and backtrack its
+        // parent's task.
+        loop {
+            let depth = frames.len() as u32;
+            let Some(frame) = frames.last_mut() else {
+                return CommitOutcome::Dead;
+            };
+            if let Some((c, mark)) = frame.committed.take() {
+                topo.uncommit(c);
+                ctx.undo_to(graph, &mark);
+                if obs.is_enabled() {
+                    obs.on_event(&TraceEvent::TopoBacktrack { task: c });
+                }
+                *budget = budget.saturating_sub(1);
+            }
+            let Some(&c) = frame.candidates.get(frame.next) else {
+                frames.pop();
+                continue;
+            };
+            frame.next += 1;
+            if *budget == 0 {
+                meter.stats.pruned_budget += 1;
+                return CommitOutcome::OutOfBudget;
+            }
+            let mark = ctx.mark(graph);
+            topo.commit(c);
+            meter.stats.nodes += 1;
+            if depth > meter.stats.max_depth {
+                meter.stats.max_depth = depth;
+            }
+            if obs.is_enabled() {
+                obs.on_event(&TraceEvent::TaskCommitted { task: c });
+                if meter.sample_every != 0 && meter.stats.nodes % meter.sample_every == 0 {
+                    obs.on_event(&TraceEvent::SearchSample {
+                        worker: 0,
+                        nodes: meter.stats.nodes,
+                        depth,
+                        best: -1, // the timing search has no incumbent
+                    });
                 }
             }
-        }
-        Some(rng) => candidates.shuffle(rng),
-    }
 
-    for c in candidates {
-        if *budget == 0 {
-            meter.stats.pruned_budget += 1;
-            return CommitOutcome::OutOfBudget;
-        }
-        let mark = ctx.mark(graph);
-        topo.commit(c);
-        meter.stats.nodes += 1;
-        let depth = (num_committed + 1) as u32;
-        if depth > meter.stats.max_depth {
-            meter.stats.max_depth = depth;
-        }
-        if obs.is_enabled() {
-            obs.on_event(&TraceEvent::TaskCommitted { task: c });
-            if meter.sample_every != 0 && meter.stats.nodes % meter.sample_every == 0 {
-                obs.on_event(&TraceEvent::SearchSample {
-                    worker: 0,
-                    nodes: meter.stats.nodes,
-                    depth,
-                    best: -1, // the timing search has no incumbent
-                });
+            // Serialize every uncommitted same-resource task after c,
+            // in ascending id order.
+            let peers: Vec<TaskId> = graph
+                .tasks_on(graph.task(c).resource())
+                .filter(|&u| u != c && !topo.committed[u.index()])
+                .collect();
+            for u in peers {
+                graph.serialize_after(c, u);
+                if obs.is_enabled() {
+                    obs.on_event(&TraceEvent::SerializationAdded {
+                        committed: c,
+                        serialized: u,
+                    });
+                }
             }
-        }
+            frame.committed = Some((c, mark));
 
-        // Serialize every uncommitted same-resource task after c, in
-        // ascending id order.
-        let peers: Vec<TaskId> = graph
-            .tasks_on(graph.task(c).resource())
-            .filter(|&u| u != c && !topo.committed[u.index()])
-            .collect();
-        for u in peers {
-            graph.serialize_after(c, u);
-            if obs.is_enabled() {
-                obs.on_event(&TraceEvent::SerializationAdded {
-                    committed: c,
-                    serialized: u,
-                });
+            // Feasibility check before descending saves exploring the
+            // whole subtree of an already-dead serialization.
+            if ctx.feasible(graph, obs) {
+                break;
             }
-        }
-
-        // Feasibility check before descending saves exploring the
-        // whole subtree of an already-dead serialization.
-        if ctx.feasible(graph, obs) {
-            match commit_all(
-                graph,
-                ctx,
-                topo,
-                num_committed + 1,
-                budget,
-                rotation,
-                rng,
-                meter,
-                obs,
-            ) {
-                CommitOutcome::Done => return CommitOutcome::Done,
-                CommitOutcome::OutOfBudget => return CommitOutcome::OutOfBudget,
-                CommitOutcome::Dead => {}
-            }
-        } else {
             meter.stats.pruned_dominance += 1;
         }
-
-        topo.uncommit(c);
-        ctx.undo_to(graph, &mark);
-        if obs.is_enabled() {
-            obs.on_event(&TraceEvent::TopoBacktrack { task: c });
-        }
-        *budget = budget.saturating_sub(1);
     }
-
-    CommitOutcome::Dead
 }
 
 /// Fixed 64-bit mix (SplitMix64 finalizer) — used for the

@@ -7,13 +7,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread;
 
-use pas_core::PowerConstraints;
-use pas_graph::units::{Power, Time};
+use pas_core::{is_power_valid, is_time_valid, PowerConstraints, Problem};
+use pas_graph::units::{Power, Time, TimeSpan};
+use pas_graph::{ConstraintGraph, Resource, ResourceKind, Task};
 use pas_obs::expo::validate_prometheus;
 use pas_obs::{parse_jsonl, NullObserver};
 use pas_sched::{PowerAwareScheduler, SchedulerConfig};
 use pas_server::{Server, ServerConfig, ServerHandle, ServerReport};
-use pas_spec::{parse_problem, print_problem, print_schedule};
+use pas_spec::{parse_problem, parse_schedule, print_problem, print_schedule};
 use pas_workload::{generate, GeneratorConfig, Topology};
 
 fn start_server(audit_dir: Option<PathBuf>) -> (ServerHandle, thread::JoinHandle<ServerReport>) {
@@ -140,6 +141,56 @@ fn schedule_pasdl_is_byte_identical_to_the_offline_pipeline() {
 
     handle.shutdown();
     join.join().unwrap();
+}
+
+/// A precedence chain of `n` 1 W tasks, one resource each, under a
+/// 2 W budget.
+fn chain_text(n: usize) -> String {
+    let mut g = ConstraintGraph::new();
+    let mut prev = None;
+    for i in 0..n {
+        let r = g.add_resource(Resource::new(format!("R{i}"), ResourceKind::Compute));
+        let t = g.add_task(Task::new(
+            format!("t{i}"),
+            r,
+            TimeSpan::from_secs(1),
+            Power::from_watts(1),
+        ));
+        if let Some(p) = prev {
+            g.precedence(p, t);
+        }
+        prev = Some(t);
+    }
+    let constraints = PowerConstraints::new(Power::from_watts(2), Power::from_watts(1));
+    print_problem(&Problem::new(format!("chain{n}"), g, constraints))
+}
+
+#[test]
+fn a_4000_task_chain_is_scheduled_on_a_pool_worker() {
+    // Pool workers run with the default 2 MiB thread stack, and the
+    // stages run on them directly: their native stack must not grow
+    // with the task count.
+    let (handle, join) = start_server(None);
+    let source = chain_text(4_000);
+    let expected = offline_pasdl(&source);
+
+    let (status, _, body) = http(
+        handle.addr(),
+        "POST",
+        "/schedule?format=pasdl",
+        source.as_bytes(),
+    );
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let served = String::from_utf8(body).unwrap();
+    let problem = parse_problem(&source).unwrap();
+    let (_, schedule) = parse_schedule(&served, &problem).expect("a schedule comes back");
+    assert!(is_time_valid(problem.graph(), &schedule));
+    assert!(is_power_valid(&problem, &schedule));
+    assert_eq!(served, expected);
+
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.panicked, 0);
 }
 
 #[test]
