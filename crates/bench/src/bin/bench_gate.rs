@@ -31,6 +31,10 @@
 //! means the code now takes different decisions, which no timing
 //! tolerance should absorb.
 //!
+//! The files are read as JSON documents: rows come from the
+//! `"results"` array, and `host_cores` from the document's own field
+//! or, failing that, its provenance object.
+//!
 //! Rows are keyed by `workload` (plus `threads` where present). A row
 //! present in the baseline but missing from the fresh results fails
 //! the gate; new rows in the fresh results are allowed (the next
@@ -50,6 +54,8 @@
 //! regression check for the "8-thread cliff".
 
 use std::process::ExitCode;
+
+use pas_core::json::{self, Value};
 
 /// Deterministic decision counters, gated exactly when both the
 /// baseline and the fresh row carry them.
@@ -83,45 +89,48 @@ impl Row {
     }
 }
 
-/// Pulls `"field": "value"` out of a JSON object line.
-fn string_field(line: &str, field: &str) -> Option<String> {
-    let marker = format!("\"{field}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
+/// What the gate reads from one bench file.
+struct BenchFile {
+    rows: Vec<Row>,
+    /// The core count the file was recorded with, when it says.
+    host_cores: Option<u64>,
+    provenance: Option<String>,
 }
 
-/// Pulls `"field": <number>` out of a JSON object line.
-fn number_field(line: &str, field: &str) -> Option<f64> {
-    let marker = format!("\"{field}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+fn number(object: &Value, key: &str) -> Option<f64> {
+    object.get(key).and_then(Value::as_f64)
 }
 
-/// Parses the bench JSON files this repo emits: one result object per
-/// line inside a `"results"` array.
-fn parse_rows(text: &str) -> Vec<Row> {
-    text.lines()
-        .filter_map(|line| {
-            let workload = string_field(line, "workload")?;
-            let speedup = number_field(line, "speedup")?;
+/// Parses a bench JSON file. Every object in `"results"` with a
+/// string `workload` and a numeric `speedup` is a row.
+fn parse_bench(text: &str) -> Result<BenchFile, String> {
+    let doc = json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
+    let results = doc.get("results").and_then(Value::as_array);
+    let rows = results
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|row| {
             Some(Row {
-                workload,
-                threads: number_field(line, "threads").map(|t| t as u64),
-                speedup,
-                measured_speedup: number_field(line, "measured_speedup"),
-                wall_ms: number_field(line, "wall_ms"),
+                workload: row.get("workload")?.as_str()?.to_string(),
+                threads: number(row, "threads").map(|t| t as u64),
+                speedup: number(row, "speedup")?,
+                measured_speedup: number(row, "measured_speedup"),
+                wall_ms: number(row, "wall_ms"),
                 counters: COUNTERS
                     .iter()
-                    .filter_map(|&name| Some((name, number_field(line, name)? as u64)))
+                    .filter_map(|&name| Some((name, number(row, name)? as u64)))
                     .collect(),
             })
         })
-        .collect()
+        .collect();
+    let host_cores = number(&doc, "host_cores")
+        .or_else(|| number(doc.get("provenance")?, "host_cores"))
+        .map(|c| c as u64);
+    Ok(BenchFile {
+        rows,
+        host_cores,
+        provenance: parse_provenance(text),
+    })
 }
 
 /// One message per counter both rows carry with different values.
@@ -139,15 +148,6 @@ fn counter_drift(baseline: &Row, fresh: &Row) -> Vec<String> {
             })
         })
         .collect()
-}
-
-/// The `host_cores` header a bench file was recorded with, when
-/// present (absent in files written before the field existed).
-fn parse_host_cores(text: &str) -> Option<u64> {
-    text.lines()
-        .find(|l| l.contains("\"host_cores\""))
-        .and_then(|l| number_field(l, "host_cores"))
-        .map(|c| c as u64)
 }
 
 /// The one-line `"provenance"` object a bench file was stamped with,
@@ -191,22 +191,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
-    struct BenchFile {
-        rows: Vec<Row>,
-        host_cores: Option<u64>,
-        provenance: Option<String>,
-    }
     let read = |path: &str| -> Result<BenchFile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let rows = parse_rows(&text);
-        if rows.is_empty() {
+        let file = parse_bench(&text).map_err(|e| format!("{path}: {e}"))?;
+        if file.rows.is_empty() {
             return Err(format!("{path}: no bench rows found"));
         }
-        Ok(BenchFile {
-            rows,
-            host_cores: parse_host_cores(&text),
-            provenance: parse_provenance(&text),
-        })
+        Ok(file)
     };
     let BenchFile {
         rows: baseline,
@@ -401,12 +392,18 @@ mod tests {
         assert!(parse_provenance("{\n  \"bench\": \"parallel\"\n}\n").is_none());
     }
 
-    const INCREMENTAL_ROW: &str = "    {\"workload\": \"generated_500\", \"tasks\": 500, \
+    const INCREMENTAL_ROW: &str = "{\"workload\": \"generated_500\", \"tasks\": 500, \
         \"incremental_ms\": 60.1, \"full_ms\": 1478.3, \"speedup\": 24.6, \
-        \"cache_hits\": 1142, \"deltas\": 960, \"fallbacks\": 1},";
+        \"cache_hits\": 1142, \"deltas\": 960, \"fallbacks\": 1}";
 
-    fn row(line: &str) -> Row {
-        parse_rows(line).pop().expect("one row")
+    /// The row of a one-row document around `object`.
+    fn row(object: &str) -> Row {
+        let doc = format!("{{\"results\": [{object}]}}");
+        parse_bench(&doc)
+            .expect("a bench document")
+            .rows
+            .pop()
+            .expect("one row")
     }
 
     #[test]
@@ -427,7 +424,7 @@ mod tests {
         assert!(counter_drift(&baseline, &fresh).is_empty());
         let lint = row(
             "{\"workload\": \"bnb_lint_bounds\", \"nodes_baseline\": 13097072, \
-             \"nodes_bounded\": 501, \"bound_prunes\": 1, \"speedup\": 26141.9},",
+             \"nodes_bounded\": 501, \"bound_prunes\": 1, \"speedup\": 26141.9}",
         );
         assert_eq!(
             lint.counters,
@@ -443,7 +440,7 @@ mod tests {
     #[test]
     fn a_row_without_counters_is_unaffected() {
         let server = row("{\"workload\": \"server_fresh\", \"requests\": 300, \
-             \"p50_us\": 450, \"speedup\": 1.0},");
+             \"p50_us\": 450, \"speedup\": 1.0}");
         assert!(server.counters.is_empty());
         // A counter only one side carries is not gated either.
         assert!(counter_drift(&server, &row(INCREMENTAL_ROW)).is_empty());
@@ -453,10 +450,11 @@ mod tests {
     #[test]
     fn provenance_line_is_not_mistaken_for_a_row() {
         let frag = pas_bench::provenance_json();
-        assert!(parse_rows(&frag).is_empty());
+        let file = parse_bench(&format!("{{{frag}}}")).expect("a bench document");
+        assert!(file.rows.is_empty());
         // The provenance host_cores is the same value bench_parallel
-        // writes as its own header field, so first-match parsing
-        // stays correct whichever line comes first.
-        assert!(parse_host_cores(&frag).is_some());
+        // writes as its own header field, so a document with only the
+        // provenance object still says how many cores it had.
+        assert!(file.host_cores.is_some());
     }
 }

@@ -36,6 +36,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use pas_core::json::{self, Value};
 use pas_core::PowerConstraints;
 use pas_graph::units::Power;
 use pas_obs::NullObserver;
@@ -224,14 +225,6 @@ fn tightened_envelope(source: &str, floor_mw: u64, step: u64) -> String {
     print_problem(&problem)
 }
 
-/// `"min_p_max_mw":N` out of a fresh response's region object.
-fn min_p_max_mw(body: &str) -> Option<u64> {
-    let tail = &body[body.find("\"min_p_max_mw\":")? + "\"min_p_max_mw\":".len()..];
-    tail[..tail.find(|c: char| !c.is_ascii_digit())?]
-        .parse()
-        .ok()
-}
-
 /// Per-stage `(stage, value)` samples of one gauge family in a
 /// Prometheus scrape, e.g. `pas_server_stage_p50_microseconds`.
 fn stage_samples(scrape: &str, family: &str) -> Vec<(String, f64)> {
@@ -364,7 +357,15 @@ fn drive(addr: SocketAddr, knobs: &Knobs) -> Result<Driven, String> {
         if served != "fresh" {
             return Err(format!("warm-up served {served:?}, expected a fresh run"));
         }
-        let Some(floor_mw) = min_p_max_mw(&body) else {
+        let doc =
+            json::parse(&body).map_err(|e| format!("warm-up reply is not JSON ({e}): {body}"))?;
+        let floor = doc
+            .get("region")
+            .and_then(|region| region.get("min_p_max_mw"));
+        let Some(floor_mw) = floor
+            .and_then(Value::as_i128)
+            .and_then(|mw| u64::try_from(mw).ok())
+        else {
             return Err(format!("fresh response lost its region: {body}"));
         };
         if floor_mw <= deepest_step + 1 {

@@ -10,6 +10,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use pas_core::json::{self, Value};
 use pas_obs::expo::{parse_labels, validate_prometheus};
 use pas_server::{signal, Server, ServerConfig};
 
@@ -221,23 +222,11 @@ fn labeled(samples: &[Sample], name: &str, key: &str, value: &str) -> f64 {
         .map_or(0.0, |(_, _, v)| *v)
 }
 
-/// Extracts `"field":"value"` string fields from a flat JSON object
-/// run — good enough for the server's own `/slowlog` shape.
-fn json_str_field<'a>(object: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = object.find(&needle)? + needle.len();
-    let end = object[start..].find('"')?;
-    Some(&object[start..start + end])
-}
-
-fn json_num_field(object: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let start = object.find(&needle)? + needle.len();
-    let rest = &object[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// `s` with every control character but tab replaced by U+FFFD: a
+/// slowlog model name is client input and must not drive the
+/// operator's terminal.
+fn printable(s: &str) -> String {
+    s.replace(|c: char| c.is_control() && c != '\t', "\u{fffd}")
 }
 
 fn render_dashboard(addr: &str, samples: &[Sample], slowlog: &str) -> String {
@@ -322,14 +311,18 @@ fn render_dashboard(addr: &str, samples: &[Sample], slowlog: &str) -> String {
 
     out.push_str("\nslowest recent requests\n");
     let mut any = false;
-    for object in slowlog.split("{\"trace_id\"").skip(1) {
-        let object = format!("{{\"trace_id\"{object}");
+    // A slowlog that does not parse shows as empty, like an
+    // unreachable one: the dashboard never fails on it.
+    let slowlog = json::parse(slowlog).ok();
+    let entries = slowlog.as_ref().and_then(|doc| doc.get("slow"));
+    for entry in entries.and_then(Value::as_array).unwrap_or_default() {
+        let field = |key| entry.get(key).and_then(Value::as_str).map(printable);
         if let (Some(id), Some(model), Some(us)) = (
-            json_str_field(&object, "trace_id"),
-            json_str_field(&object, "model"),
-            json_num_field(&object, "total_us"),
+            field("trace_id"),
+            field("model"),
+            entry.get("total_us").and_then(Value::as_f64),
         ) {
-            let served = json_str_field(&object, "served").unwrap_or("?");
+            let served = field("served").unwrap_or_else(|| "?".into());
             out.push_str(&format!("  {id:<18} {model:<20} {us:>10.0} µs  {served}\n"));
             any = true;
         }
@@ -366,7 +359,9 @@ mod tests {
                       pas_server_cache_events_total{kind=\"incremental\"} 2\n\
                       pas_server_cache_events_total{kind=\"miss\"} 4\n";
         let samples = parse_samples(scrape).unwrap();
-        let slowlog = "{\"slow\":[{\"trace_id\":\"r000001-aa\",\"model\":\"m\",\"total_us\":9000,\"served\":\"fresh\",\"at_s\":3}]}";
+        let slowlog = "{\"slow\":[{\"trace_id\":\"r000001-aa\",\"model\":\"m\",\"total_us\":9000,\"served\":\"fresh\",\"at_s\":3},\
+                       {\"trace_id\":\"r000002-bb\",\"model\":\"a\\\\b\\tc\",\"total_us\":8000,\"served\":\"fresh\",\"at_s\":4},\
+                       {\"trace_id\":\"r000003-cc\",\"model\":\"\\u001b[2Jx\",\"total_us\":7000,\"served\":\"fresh\",\"at_s\":5}]}";
         let frame = render_dashboard("127.0.0.1:7171", &samples, slowlog);
         assert!(frame.contains("requests 10"), "{frame}");
         assert!(frame.contains("admitted 3/68"), "{frame}");
@@ -376,12 +371,24 @@ mod tests {
         assert!(frame.contains("incr 2"), "{frame}");
         assert!(frame.contains("hit 50.0%"), "{frame}");
         assert!(frame.contains("r000001-aa"), "{frame}");
+        assert!(frame.contains("r000002-bb         a\\b\tc"), "{frame}");
+        assert!(frame.contains("r000003-cc         \u{fffd}[2Jx"), "{frame}");
     }
 
     #[test]
     fn slowlog_field_extraction_is_tolerant() {
-        assert_eq!(json_str_field("{\"a\":\"b\"}", "a"), Some("b"));
-        assert_eq!(json_num_field("{\"n\":42}", "n"), Some(42.0));
-        assert_eq!(json_num_field("{}", "n"), None);
+        let doc = json::parse("{\"a\":\"b\",\"n\":42}").unwrap();
+        assert_eq!(doc.get("a").and_then(Value::as_str), Some("b"));
+        assert_eq!(doc.get("n").and_then(Value::as_f64), Some(42.0));
+        assert_eq!(json::parse("{}").unwrap().get("n"), None);
+        for slowlog in [
+            "",
+            "not json",
+            "{\"slow\":7}",
+            "{\"slow\":[{\"trace_id\":1}]}",
+        ] {
+            let frame = render_dashboard("127.0.0.1:7171", &[], slowlog);
+            assert!(frame.ends_with("(none yet)\n"), "{slowlog:?}: {frame}");
+        }
     }
 }

@@ -101,6 +101,7 @@ mod live;
 
 use pas_core::analyze;
 use pas_core::describe_spike;
+use pas_core::json;
 use pas_core::power_model::analyze_corners;
 use pas_gantt::{render_ascii, render_svg, summary_report, AsciiOptions, GanttChart, SvgOptions};
 use pas_lint::{lint_problem, render_human, render_json, LintCode, SourceFile};
@@ -114,6 +115,7 @@ use pas_spec::{
     parse_problem, parse_problem_full, parse_problem_spanned, parse_schedule, print_problem,
     print_schedule,
 };
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -757,23 +759,6 @@ fn outcome_label(
     }
 }
 
-/// Minimal JSON string escaping for model names embedded in the
-/// profile report.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The explicit dominant-cause heuristic over the max-thread-count
 /// evidence, checked in order of diagnostic specificity. Returns
 /// `(cause, explanation)`.
@@ -1118,17 +1103,18 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             .map(|n| n.to_string())
             .collect::<Vec<_>>()
             .join(", ");
-        rows.push(format!(
+        let mut row = format!("    {{\"threads\": {}, \"outcome\": \"", p.threads);
+        json::push_escaped(&mut row, &p.outcome);
+        let _ = write!(
+            row,
             concat!(
-                "    {{\"threads\": {}, \"outcome\": \"{}\", \"wall_s\": {:.6}, ",
+                "\", \"wall_s\": {:.6}, ",
                 "\"nodes\": {}, \"max_depth\": {}, ",
                 "\"prunes\": {{\"incumbent\": {}, \"dominance\": {}, \"horizon\": {}, ",
                 "\"budget\": {}, \"bound\": {}}}, \"budget_utilization\": {:.4}, ",
                 "\"branch_nodes\": [{}], \"branch_nodes_cov\": {:.4}, ",
                 "\"workers\": [{}]}}"
             ),
-            p.threads,
-            json_escape(&p.outcome),
             wall_s(p),
             p.nodes,
             p.max_depth,
@@ -1141,20 +1127,21 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             branch_nodes,
             nodes_cov(&p.branch_nodes),
             workers,
-        ));
+        );
+        rows.push(row);
     }
-    let json = format!(
+    let mut report = format!(
+        "{{\n  \"schema\": \"impacct-profile/v2\",\n  {},\n  \"model\": \"",
+        pas_bench::provenance_json()
+    );
+    json::push_escaped(&mut report, &model);
+    let _ = write!(
+        report,
         concat!(
-            "{{\n  \"schema\": \"impacct-profile/v2\",\n  {},\n  \"model\": \"{}\",\n",
-            "  \"tasks\": {},\n  \"frontier\": {},\n  \"available_parallelism\": {},\n",
+            "\",\n  \"tasks\": {},\n  \"frontier\": {},\n  \"available_parallelism\": {},\n",
             "  \"max_nodes\": {},\n  \"sample_every\": {},\n  \"lint_bounds\": {},\n",
-            "  \"dominance\": {},\n  \"prune_notes\": {{\"dominance\": \"{}\"}},\n",
-            "  \"sweep\": [\n{}\n  ],\n",
-            "  \"diagnosis\": {{\"regression_at_max_threads\": {}, ",
-            "\"dominant_cause\": \"{}\", \"explanation\": \"{}\"}}\n}}\n"
+            "  \"dominance\": {},\n  \"prune_notes\": {{\"dominance\": \""
         ),
-        pas_bench::provenance_json(),
-        json_escape(&model),
         graph.num_tasks(),
         frontier,
         available,
@@ -1162,13 +1149,22 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         sample_every,
         lint_bounds,
         dominance,
-        json_escape(DOMINANCE_PRUNES_NOTE),
+    );
+    json::push_escaped(&mut report, DOMINANCE_PRUNES_NOTE);
+    let _ = write!(
+        report,
+        concat!(
+            "\"}},\n  \"sweep\": [\n{}\n  ],\n",
+            "  \"diagnosis\": {{\"regression_at_max_threads\": {}, \"dominant_cause\": \""
+        ),
         rows.join(",\n"),
         regression,
-        json_escape(&cause),
-        json_escape(&explanation),
     );
-    std::fs::write(&out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    json::push_escaped(&mut report, &cause);
+    report.push_str("\", \"explanation\": \"");
+    json::push_escaped(&mut report, &explanation);
+    report.push_str("\"}\n}\n");
+    std::fs::write(&out, &report).map_err(|e| format!("cannot write {out}: {e}"))?;
     if !quiet {
         println!("wrote {out}");
     }

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use pas_core::json::{self, Value};
+
 const PROBLEM: &str = r#"
 problem "cli-demo" {
   pmax 9W
@@ -326,6 +328,34 @@ fn trace_replay_explain_diff_round_trip() {
 }
 
 #[test]
+fn explain_json_escapes_control_characters_in_task_names() {
+    // A quoted PASDL name may hold a tab; the paper example with task
+    // `a` renamed to "a<TAB>x" must still explain as valid JSON.
+    let source = include_str!("../../../assets/paper_example.pasdl")
+        .replace("task a on", "task \"a\tx\" on")
+        .replace("min a ->", "min \"a\tx\" ->")
+        .replace("max a ->", "max \"a\tx\" ->");
+    let problem = write_temp("tab.pasdl", &source);
+    let trace = problem.with_extension("jsonl");
+    let (problem, trace) = (problem.to_str().unwrap(), trace.to_str().unwrap());
+    let out = run(&["schedule", problem, "--quiet", "--trace", trace]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(&["explain", problem, trace, "a\tx", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("invalid JSON ({e}): {text:?}"));
+    assert_eq!(doc.get("name").and_then(Value::as_str), Some("a\tx"));
+}
+
+#[test]
 fn trace_dash_streams_jsonl_to_stdout() {
     let problem = write_temp("p11.pasdl", PROBLEM);
     let out = run(&[
@@ -442,10 +472,11 @@ fn profile_writes_the_v2_report() {
     assert!(!json.contains("shared_bound_wall_s"), "{json}");
     assert_eq!(json.matches("{\"threads\": ").count(), 2, "{json}");
 
-    let cause = json
-        .split("\"dominant_cause\": \"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
+    let report = json::parse(&json).unwrap_or_else(|e| panic!("invalid JSON ({e}): {json}"));
+    let cause = report
+        .get("diagnosis")
+        .and_then(|diagnosis| diagnosis.get("dominant_cause"))
+        .and_then(Value::as_str)
         .expect("a dominant cause");
     assert!(
         [

@@ -14,7 +14,8 @@
 //! * [metrics] — energy cost `Ec_σ(P_min)`, min-power utilization
 //!   `ρ_σ(P_min)` as an exact [`Ratio`], jitter, and the combined
 //!   [`ScheduleAnalysis`] report;
-//! * [`example::paper_example`] — the paper's 9-task running example.
+//! * [`example::paper_example`] — the paper's 9-task running example;
+//! * [`json`] — the workspace's one JSON escaper and strict reader.
 //!
 //! All arithmetic is exact integer fixed point (see
 //! [`pas_graph::units`]).
@@ -51,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod example;
+pub mod json;
 pub mod metrics;
 pub mod power_model;
 mod problem;

@@ -41,7 +41,7 @@
 //! each [`Certificate`] variant carries.
 
 use core::fmt::Write as _;
-use pas_core::Problem;
+use pas_core::{json, Problem};
 use pas_graph::units::{Power, Time, TimeSpan};
 use pas_graph::{ConstraintGraph, NodeId, ResourceId, TaskId};
 
@@ -223,9 +223,13 @@ impl Certificate {
             } => {
                 let _ = write!(
                     out,
-                    ",\"resource\":{},\"resource_name\":\"{}\",\"window_secs\":[{},{}],\"demand_secs\":{demand_secs},\"capacity_secs\":{capacity_secs},\"claims\":{}",
-                    resource.index(),
-                    escape(resource_name),
+                    ",\"resource\":{},\"resource_name\":\"",
+                    resource.index()
+                );
+                json::push_escaped(&mut out, resource_name);
+                let _ = write!(
+                    out,
+                    "\",\"window_secs\":[{},{}],\"demand_secs\":{demand_secs},\"capacity_secs\":{capacity_secs},\"claims\":{}",
                     secs(window.0),
                     secs(window.1),
                     claims_json(claims),
@@ -253,9 +257,13 @@ impl Certificate {
                 } => {
                     let _ = write!(
                         out,
-                        ",\"bound\":\"resource-serial\",\"resource\":{},\"resource_name\":\"{}\",\"release_secs\":{},\"serial_secs\":{serial_secs},\"makespan_lb_secs\":{},\"claims\":[",
-                        resource.index(),
-                        escape(resource_name),
+                        ",\"bound\":\"resource-serial\",\"resource\":{},\"resource_name\":\"",
+                        resource.index()
+                    );
+                    json::push_escaped(&mut out, resource_name);
+                    let _ = write!(
+                        out,
+                        "\",\"release_secs\":{},\"serial_secs\":{serial_secs},\"makespan_lb_secs\":{},\"claims\":[",
                         secs(*release),
                         secs(*lower_bound),
                     );
@@ -263,11 +271,11 @@ impl Certificate {
                         if i > 0 {
                             out.push(',');
                         }
+                        let _ = write!(out, "{{\"task\":{},\"task_name\":\"", c.task.index());
+                        json::push_escaped(&mut out, &c.task_name);
                         let _ = write!(
                             out,
-                            "{{\"task\":{},\"task_name\":\"{}\",\"lower_bound_secs\":{},\"path\":{}}}",
-                            c.task.index(),
-                            escape(&c.task_name),
+                            "\",\"lower_bound_secs\":{},\"path\":{}}}",
                             secs(c.lower_bound),
                             path_json(&c.path),
                         );
@@ -287,11 +295,11 @@ fn claims_json(claims: &[WindowClaim]) -> String {
         if i > 0 {
             out.push(',');
         }
+        let _ = write!(out, "{{\"task\":{},\"task_name\":\"", c.task.index());
+        json::push_escaped(&mut out, &c.task_name);
         let _ = write!(
             out,
-            "{{\"task\":{},\"task_name\":\"{}\",\"asap_secs\":{},\"alap_secs\":{},\"asap_path\":{},\"alap_path\":{}}}",
-            c.task.index(),
-            escape(&c.task_name),
+            "\",\"asap_secs\":{},\"alap_secs\":{},\"asap_path\":{},\"alap_path\":{}}}",
             secs(c.asap),
             secs(c.alap),
             path_json(&c.asap_path),
@@ -316,24 +324,6 @@ fn path_json(path: &[NodeId]) -> String {
 
 fn secs(t: Time) -> i64 {
     t.since_origin().as_secs()
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Why a certificate failed validation.

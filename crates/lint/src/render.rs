@@ -3,6 +3,7 @@
 
 use crate::diag::{Diagnostic, LintReport};
 use core::fmt::Write as _;
+use pas_core::json;
 
 /// A named piece of spec source, used to resolve byte spans to
 /// line/column excerpts.
@@ -126,7 +127,9 @@ fn caret_len(span: crate::Span, text: &str, line: &str, col: usize) -> usize {
 pub fn render_json(report: &LintReport, source: Option<SourceFile<'_>>) -> String {
     let mut out = String::from("{");
     if let Some(src) = source {
-        let _ = write!(out, "\"file\":\"{}\",", escape_json(src.name));
+        out.push_str("\"file\":\"");
+        json::push_escaped(&mut out, src.name);
+        out.push_str("\",");
     }
     let _ = write!(
         out,
@@ -140,11 +143,11 @@ pub fn render_json(report: &LintReport, source: Option<SourceFile<'_>>) -> Strin
         }
         let _ = write!(
             out,
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"spans\":[",
-            d.code,
-            d.severity,
-            escape_json(&d.message)
+            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"",
+            d.code, d.severity,
         );
+        json::push_escaped(&mut out, &d.message);
+        out.push_str("\",\"spans\":[");
         for (j, labeled) in d.spans.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -158,20 +161,27 @@ pub fn render_json(report: &LintReport, source: Option<SourceFile<'_>>) -> Strin
                 let (line, col) = labeled.span.line_col(src.text);
                 let _ = write!(out, ",\"line\":{line},\"col\":{col}");
             }
-            let _ = write!(out, ",\"label\":\"{}\"}}", escape_json(&labeled.label));
+            out.push_str(",\"label\":\"");
+            json::push_escaped(&mut out, &labeled.label);
+            out.push_str("\"}");
         }
         out.push(']');
         if let Some(s) = &d.suggestion {
-            let _ = write!(out, ",\"suggestion\":\"{}\"", escape_json(s));
+            out.push_str(",\"suggestion\":\"");
+            json::push_escaped(&mut out, s);
+            out.push('"');
         }
         if let Some(fix) = &d.fix {
             let _ = write!(
                 out,
-                ",\"fix\":{{\"start\":{},\"end\":{},\"replacement\":\"{}\",\"applicability\":\"{}\"}}",
-                fix.span.start,
-                fix.span.end,
-                escape_json(&fix.replacement),
-                fix.applicability.as_str(),
+                ",\"fix\":{{\"start\":{},\"end\":{},\"replacement\":\"",
+                fix.span.start, fix.span.end,
+            );
+            json::push_escaped(&mut out, &fix.replacement);
+            let _ = write!(
+                out,
+                "\",\"applicability\":\"{}\"}}",
+                fix.applicability.as_str()
             );
         }
         if let Some(cert) = &d.certificate {
@@ -180,25 +190,6 @@ pub fn render_json(report: &LintReport, source: Option<SourceFile<'_>>) -> Strin
         out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -254,8 +245,16 @@ mod tests {
             "weird \"name\"\nwith newline",
         ));
         let json = render_json(&r, None);
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains(r#""code":"PAS002""#));
+        let message = doc
+            .get("diagnostics")
+            .and_then(|d| d.as_array()?[0].get("message"));
+        assert_eq!(
+            message.and_then(json::Value::as_str),
+            Some("weird \"name\"\nwith newline")
+        );
         assert!(json.contains(r#"weird \"name\"\nwith newline"#));
         assert!(!json.contains("file"));
     }
@@ -308,6 +307,7 @@ mod tests {
             .with_certificate(cert),
         );
         let json = render_json(&r, None);
+        assert!(json::parse(&json).is_ok(), "{json}");
         assert!(json.contains(r#"evil\"name\\\n"#), "{json}");
         // No raw control bytes or unescaped quotes-in-strings leak out.
         assert!(!json.contains('\u{1}'), "{json}");

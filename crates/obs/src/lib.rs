@@ -5,7 +5,9 @@
 //!
 //! * [`TraceEvent`] — one variant per algorithmic decision across all
 //!   three scheduler stages (timing, max-power, min-power) and the
-//!   runtime dispatcher, with a dependency-free JSONL codec;
+//!   runtime dispatcher, with a table-driven JSONL codec: the variants
+//!   are declared once with their wire keys, and lines are escaped and
+//!   read by [`pas_core::json`], the workspace's one JSON codec;
 //! * [`Observer`] — the sink trait the schedulers are generic over.
 //!   [`NullObserver`] (the default) reports itself disabled and
 //!   monomorphizes to nothing; [`CountingObserver`] keeps per-variant
@@ -40,7 +42,10 @@
 //!
 //! Lines written by newer binaries that this build does not recognize
 //! parse as `TraceEvent::Unknown`, preserving the raw line losslessly
-//! so replay and diff tools can pass them through.
+//! so replay and diff tools can pass them through. Any JSON object with
+//! a string `"event"` member is such a line, whatever else it holds;
+//! only malformed JSON (strict RFC 8259, nesting capped at
+//! [`pas_core::json::MAX_DEPTH`]) is an error.
 //!
 //! ## Example
 //!

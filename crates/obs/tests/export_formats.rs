@@ -2,13 +2,13 @@
 //!
 //! The Prometheus check drives the hand-written exposition-format
 //! validator (now shipped as [`pas_obs::expo`] so live `/metrics`
-//! consumers can reuse it); the Chrome-trace check is a minimal recursive JSON
-//! parser plus a schema walk over the parsed value. Neither pulls in a
+//! consumers can reuse it); the Chrome-trace check reads the export
+//! with the workspace's strict JSON reader, [`pas_core::json`], and
+//! walks the schema over the parsed value. Neither pulls in a
 //! dependency — the point is to fail when the exporters drift from
 //! what real consumers (Prometheus scrapers, Perfetto) accept.
 
-use std::collections::HashMap;
-
+use pas_core::json::{self, Value};
 use pas_core::Ratio;
 use pas_graph::units::TimeSpan;
 use pas_graph::TaskId;
@@ -76,37 +76,38 @@ fn prometheus_exposition_is_structurally_valid() {
 #[test]
 fn chrome_trace_is_structurally_valid_json_with_the_expected_schema() {
     let chrome = populated_registry().chrome_trace();
-    let value = Json::parse(&chrome).unwrap_or_else(|e| panic!("invalid JSON: {e}\n---\n{chrome}"));
+    let value = json::parse(&chrome).unwrap_or_else(|e| panic!("invalid JSON: {e}\n---\n{chrome}"));
 
-    let Json::Object(top) = &value else {
-        panic!("top level must be an object");
-    };
-    assert!(
-        matches!(top.get("displayTimeUnit"), Some(Json::String(s)) if s == "ms"),
+    assert!(value.as_object().is_some(), "top level must be an object");
+    assert_eq!(
+        value.get("displayTimeUnit").and_then(Value::as_str),
+        Some("ms"),
         "displayTimeUnit must be the string \"ms\""
     );
-    let Some(Json::Array(events)) = top.get("traceEvents") else {
+    let Some(events) = value.get("traceEvents").and_then(Value::as_array) else {
         panic!("traceEvents must be an array");
     };
     assert_eq!(events.len(), 3, "one complete span per finished stage");
     for event in events {
-        let Json::Object(fields) = event else {
-            panic!("every trace event must be an object");
-        };
+        assert!(
+            event.as_object().is_some(),
+            "every trace event must be an object"
+        );
         for key in ["name", "cat", "ph"] {
             assert!(
-                matches!(fields.get(key), Some(Json::String(_))),
+                matches!(event.get(key), Some(Value::String(_))),
                 "trace event field {key:?} must be a string"
             );
         }
         for key in ["ts", "dur", "pid", "tid"] {
             assert!(
-                matches!(fields.get(key), Some(Json::Number(_))),
+                matches!(event.get(key), Some(Value::Number(_))),
                 "trace event field {key:?} must be a number"
             );
         }
-        assert!(
-            matches!(fields.get("ph"), Some(Json::String(s)) if s == "X"),
+        assert_eq!(
+            event.get("ph").and_then(Value::as_str),
+            Some("X"),
             "stage spans are complete events (ph = X)"
         );
     }
@@ -188,19 +189,17 @@ fn search_telemetry_metrics_pass_the_validator() {
     // The Chrome export gains a worker lane and counter samples while
     // staying structurally valid JSON.
     let chrome = reg.chrome_trace();
-    let value = Json::parse(&chrome).unwrap_or_else(|e| panic!("invalid JSON: {e}\n---\n{chrome}"));
-    let Json::Object(top) = &value else {
-        panic!("top level must be an object");
-    };
-    let Some(Json::Array(events)) = top.get("traceEvents") else {
+    let value = json::parse(&chrome).unwrap_or_else(|e| panic!("invalid JSON: {e}\n---\n{chrome}"));
+    let Some(events) = value.get("traceEvents").and_then(Value::as_array) else {
         panic!("traceEvents must be an array");
     };
     let mut phases: Vec<&str> = Vec::new();
     for event in events {
-        let Json::Object(fields) = event else {
-            panic!("every trace event must be an object");
-        };
-        let Some(Json::String(ph)) = fields.get("ph") else {
+        assert!(
+            event.as_object().is_some(),
+            "every trace event must be an object"
+        );
+        let Some(ph) = event.get("ph").and_then(Value::as_str) else {
             panic!("trace event without ph");
         };
         phases.push(ph);
@@ -214,167 +213,4 @@ fn search_telemetry_metrics_pass_the_validator() {
         chrome.contains(r#""name":"worker-0""#),
         "worker lane present in:\n{chrome}"
     );
-}
-
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON parser
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Json {
-    Object(HashMap<String, Json>),
-    Array(Vec<Json>),
-    String(String),
-    // The schema walk only checks kinds, so the payloads of number and
-    // bool values are parsed but never read back out.
-    Number(#[allow(dead_code)] f64),
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {pos}, found {:?}",
-            byte as char,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = HashMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            other => return Err(format!("expected ',' or ']', found {other:?}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => return Err(format!("unsupported escape \\{}", *other as char)),
-                }
-            }
-            other => out.push(other as char),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Number)
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use pas_core::{Problem, Ratio};
+use pas_core::{json, Problem, Ratio};
 use pas_graph::units::{Time, TimeSpan};
 use pas_graph::TaskId;
 use pas_obs::{Binding, StageKind, TraceEvent};
@@ -246,33 +246,25 @@ impl Explanation {
     /// Renders the explanation as a single JSON object.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"task\":{},\"name\":\"{}\",\"stage\":\"{}\",\"chain\":[",
-            self.task.index(),
-            escape(&self.name),
-            self.stage,
-        );
+        let _ = write!(out, "{{\"task\":{},\"name\":\"", self.task.index());
+        json::push_escaped(&mut out, &self.name);
+        let _ = write!(out, "\",\"stage\":\"{}\",\"chain\":[", self.stage);
         for (i, link) in self.chain.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"task\":{},\"name\":\"{}\",\"start\":{},",
-                link.task.index(),
-                escape(&link.name),
-                link.start.since_origin().as_secs(),
-            );
+            let _ = write!(out, "{{\"task\":{},\"name\":\"", link.task.index());
+            json::push_escaped(&mut out, &link.name);
+            let _ = write!(out, "\",\"start\":{},", link.start.since_origin().as_secs());
             match &link.binding {
                 Binding::Edge { pred, kind, weight } => {
                     let _ = write!(
                         out,
-                        "\"via\":\"edge\",\"pred\":{},\"kind\":\"{}\",\"weight\":{}}}",
-                        pred.index(),
-                        escape(kind),
-                        weight.as_secs(),
+                        "\"via\":\"edge\",\"pred\":{},\"kind\":\"",
+                        pred.index()
                     );
+                    json::push_escaped(&mut out, kind);
+                    let _ = write!(out, "\",\"weight\":{}}}", weight.as_secs());
                 }
                 Binding::Anchor => out.push_str("\"via\":\"anchor\"}"),
                 Binding::Power => out.push_str("\"via\":\"power\"}"),
@@ -315,9 +307,4 @@ impl Explanation {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping for names (quote and backslash).
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }

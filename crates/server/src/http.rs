@@ -399,23 +399,6 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,11 +489,6 @@ mod tests {
             roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"),
             ReadOutcome::Malformed { status: 400, .. }
         ));
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_bytes() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! deadline), then the pool drains and `run` returns a final
 //! [`ServerReport`]. Nothing admitted is dropped mid-request.
 
+use std::fmt::Write;
 use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,6 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use pas_core::json;
 use pas_obs::{
     HighWater, JsonlWriter, MetricsRegistry, Observer, RecordingObserver, SharedObserver,
     StageKind, StageProfiler, Tee, TraceEvent,
@@ -61,7 +63,7 @@ use pas_sched::{PowerAwareScheduler, ScheduleRepertoire, SchedulerConfig, Sessio
 use pas_spec::{parse_problem, print_problem, print_schedule};
 
 use crate::cache::{fnv1a64, ExactEntry, ResponseCache};
-use crate::http::{json_escape, ConnLimits, HttpConn, ReadOutcome, Request, Response};
+use crate::http::{ConnLimits, HttpConn, ReadOutcome, Request, Response};
 use crate::metrics::{stage_index, ServerGauges, ServerMetrics, SlowEntry};
 use crate::signal;
 
@@ -484,10 +486,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 }
 
 fn error_response(status: u16, message: &str) -> Response {
-    Response::json(
-        status,
-        format!("{{\"error\":\"{}\"}}\n", json_escape(message)),
-    )
+    let mut body = String::from("{\"error\":\"");
+    json::push_escaped(&mut body, message);
+    body.push_str("\"}\n");
+    Response::json(status, body)
 }
 
 fn route(request: &Request, shared: &Shared) -> Response {
@@ -594,14 +596,15 @@ fn handle_slowlog(shared: &Shared) -> Response {
         if i > 0 {
             body.push(',');
         }
-        body.push_str(&format!(
-            "{{\"trace_id\":\"{}\",\"model\":\"{}\",\"total_us\":{},\"served\":\"{}\",\"at_s\":{}}}",
-            json_escape(&entry.trace_id),
-            json_escape(&entry.model),
-            entry.total_us,
-            entry.served,
-            entry.at_s,
-        ));
+        body.push_str("{\"trace_id\":\"");
+        json::push_escaped(&mut body, &entry.trace_id);
+        body.push_str("\",\"model\":\"");
+        json::push_escaped(&mut body, &entry.model);
+        let _ = write!(
+            body,
+            "\",\"total_us\":{},\"served\":\"{}\",\"at_s\":{}}}",
+            entry.total_us, entry.served, entry.at_s,
+        );
     }
     body.push_str("]}\n");
     Response::json(200, body)
@@ -705,12 +708,12 @@ fn handle_schedule(request: &Request, shared: &Shared) -> Response {
             if let Some(entry) = session.repertoire.select(p_max, p_min) {
                 let pasdl = print_schedule(&format!("{model}-min"), &problem, entry.schedule());
                 let region = entry.region();
-                let result_json = format!(
+                let mut result_json = format!(
                     concat!(
                         "\"valid\":true,\"finish_time_s\":{},\"peak_power_mw\":{},",
                         "\"energy_cost_mj\":{},\"utilization\":{:.6},",
                         "\"region\":{{\"min_p_max_mw\":{},\"gap_free_p_min_mw\":{}}},",
-                        "\"repertoire_entry\":\"{}\""
+                        "\"repertoire_entry\":\""
                     ),
                     entry.finish_time().as_secs(),
                     region.min_p_max.as_milliwatts(),
@@ -718,8 +721,9 @@ fn handle_schedule(request: &Request, shared: &Shared) -> Response {
                     entry.utilization_at(p_min).to_f64(),
                     region.min_p_max.as_milliwatts(),
                     region.gap_free_p_min.as_milliwatts(),
-                    json_escape(entry.name()),
                 );
+                json::push_escaped(&mut result_json, entry.name());
+                result_json.push('"');
                 served = Some((pasdl, result_json));
             }
         }
@@ -921,19 +925,20 @@ fn finish_schedule_response(shared: &Shared, args: FinishArgs) -> Response {
     let response = if args.want_pasdl {
         Response::text(200, args.pasdl)
     } else {
-        Response::json(
-            200,
-            format!(
-                "{{\"schema\":\"{}\",\"trace_id\":\"{}\",\"model\":\"{}\",\"served\":\"{}\",{},\"total_us\":{},\"schedule\":\"{}\"}}\n",
-                SCHEMA,
-                args.trace_id,
-                json_escape(&args.model),
-                args.served.as_str(),
-                args.result_json,
-                total_us,
-                json_escape(&args.pasdl),
-            ),
-        )
+        let mut body = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"trace_id\":\"{}\",\"model\":\"",
+            args.trace_id
+        );
+        json::push_escaped(&mut body, &args.model);
+        let _ = write!(
+            body,
+            "\",\"served\":\"{}\",{},\"total_us\":{total_us},\"schedule\":\"",
+            args.served.as_str(),
+            args.result_json,
+        );
+        json::push_escaped(&mut body, &args.pasdl);
+        body.push_str("\"}\n");
+        Response::json(200, body)
     };
     response
         .with_header("X-Pas-Trace-Id", args.trace_id)

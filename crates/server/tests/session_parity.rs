@@ -17,6 +17,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 
+use pas_core::json::{self, Value};
 use pas_core::PowerConstraints;
 use pas_graph::units::Power;
 use pas_obs::NullObserver;
@@ -62,14 +63,6 @@ fn served(headers: &[(String, String)]) -> &str {
         .unwrap_or("")
 }
 
-/// `"min_p_max_mw":N` out of the fresh response's region object.
-fn min_p_max_mw(body: &str) -> Option<u64> {
-    let tail = &body[body.find("\"min_p_max_mw\":")? + "\"min_p_max_mw\":".len()..];
-    tail[..tail.find(|c: char| !c.is_ascii_digit())?]
-        .parse()
-        .ok()
-}
-
 #[test]
 fn repertoire_misses_on_known_graphs_are_served_incrementally_and_byte_identical() {
     let problems: u64 = std::env::var("PAS_PARITY_PROBLEMS")
@@ -104,7 +97,14 @@ fn repertoire_misses_on_known_graphs_are_served_incrementally_and_byte_identical
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
         assert_eq!(served(&headers), "fresh", "seed {i}");
         let body = String::from_utf8(body).unwrap();
-        let Some(floor_mw) = min_p_max_mw(&body) else {
+        let doc = json::parse(&body).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {body}"));
+        let floor = doc
+            .get("region")
+            .and_then(|region| region.get("min_p_max_mw"));
+        let Some(floor_mw) = floor
+            .and_then(Value::as_i128)
+            .and_then(|mw| u64::try_from(mw).ok())
+        else {
             panic!("fresh response lost its region: {body}")
         };
         if floor_mw == 0 {

@@ -15,13 +15,18 @@
 //! the error. Regenerate with `BLESS=1 cargo test --test
 //! golden_max_power` after an intentional change, and review the diff
 //! like any other code.
+//!
+//! The full golden files double as the trace reader's hostile-input
+//! corpus: every event line must read back to the same bytes, and no
+//! mutant of any line may panic the reader.
 
 mod support;
 
+use impacct::core::json;
 use impacct::core::Problem;
 use impacct::graph::units::Power;
 use impacct::graph::ConstraintGraph;
-use impacct::obs::RecordingObserver;
+use impacct::obs::{RecordingObserver, TraceEvent};
 use impacct::sched::{schedule_max_power_observed, SchedulerConfig};
 use impacct::workload::{generate, GeneratorConfig, Topology};
 use support::staircase;
@@ -49,10 +54,9 @@ fn trace(
             ));
         }
         Err(e) => {
-            let text = e.to_string().replace('\\', "\\\\").replace('"', "\\\"");
-            out.push_str(&format!(
-                "{{\"outcome\":\"error\",\"message\":\"{text}\"}}\n"
-            ));
+            out.push_str("{\"outcome\":\"error\",\"message\":\"");
+            json::push_escaped(&mut out, &e.to_string());
+            out.push_str("\"}\n");
         }
     }
     out
@@ -101,8 +105,12 @@ fn digest(name: &str, trace: &str) -> String {
     )
 }
 
+fn golden_path(file: &str) -> String {
+    format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn check(file: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    let path = golden_path(file);
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(&path, actual).expect("write golden file");
         return;
@@ -147,4 +155,64 @@ fn default_limit_recursions_match_the_golden_digests() {
     let mut actual = digest("nested_respin_ok", &generated(0, 12, 4, 3, 1.05, 2_048));
     actual.push_str(&digest("respin_fail", &generated(18, 8, 2, 2, 0.95, 2_048)));
     check("max_power_default_digests.txt", &actual);
+}
+
+/// The three full golden files, line by line: each event line reads
+/// back through `TraceEvent::from_json` and re-encodes to the same
+/// bytes, each outcome line (valid JSON, but no `"event"`) is an
+/// error, and a dozen deterministic mutants of every line — cuts, bit
+/// flips, and an inserted `\`, `"`, `{` or `[` — go through the
+/// reader without a panic.
+#[test]
+fn golden_lines_round_trip_and_their_mutants_never_panic() {
+    // A 64-bit LCG (Knuth's MMIX constants): deterministic, no deps.
+    let mut state = 0x5eed_u64;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % n
+    };
+    let (mut lines, mut events, mut mutants) = (0, 0, 0);
+    for file in [
+        "max_power_staircase8.jsonl",
+        "max_power_respin_ok.jsonl",
+        "max_power_respin_fail.jsonl",
+    ] {
+        let text = std::fs::read_to_string(golden_path(file)).expect("golden file exists");
+        for line in text.lines() {
+            lines += 1;
+            match TraceEvent::from_json(line) {
+                Ok(event) => {
+                    assert!(!matches!(event, TraceEvent::Unknown { .. }), "{line}");
+                    assert_eq!(event.to_json(), line);
+                    events += 1;
+                }
+                Err(_) => {
+                    assert!(json::parse(line).is_ok(), "{line}");
+                    assert!(line.starts_with("{\"outcome\":"), "{line}");
+                }
+            }
+            let bytes = line.as_bytes();
+            let mut variants = Vec::new();
+            for _ in 0..4 {
+                variants.push(bytes[..below(bytes.len())].to_vec());
+                let mut flipped = bytes.to_vec();
+                flipped[below(bytes.len())] ^= 1 << below(8);
+                variants.push(flipped);
+            }
+            for byte in *b"\\\"{[" {
+                let mut inserted = bytes.to_vec();
+                inserted.insert(below(bytes.len() + 1), byte);
+                variants.push(inserted);
+            }
+            for variant in variants {
+                if let Ok(event) = TraceEvent::from_json(&String::from_utf8_lossy(&variant)) {
+                    let _ = event.to_json();
+                }
+                mutants += 1;
+            }
+        }
+    }
+    assert_eq!((lines, events, mutants), (1_203, 1_200, 14_436));
 }

@@ -1,15 +1,17 @@
 //! The scheduling stages' native stack must not grow with the task
 //! count or the rescheduling depth: both searches keep their levels on
-//! the heap. Each case runs on a thread with an explicit stack size,
-//! and this file holds nothing else, because an overflow aborts the
-//! whole test binary. CI also runs it under `--release`, whose frame
+//! the heap. Nor may the JSON reader's grow with the nesting depth of
+//! an untrusted trace line. Each case runs on a thread with an explicit
+//! stack size, and this file holds nothing else, because an overflow
+//! aborts the whole test binary. CI also runs it under `--release`, whose frame
 //! sizes differ from the test profile's.
 
 mod support;
 
-use impacct::core::{is_time_valid, PowerProfile, Schedule};
+use impacct::core::{is_time_valid, json, PowerProfile, Schedule};
 use impacct::graph::units::{Power, Time, TimeSpan};
 use impacct::graph::{ConstraintGraph, Resource, ResourceKind, Task};
+use impacct::obs::TraceEvent;
 use impacct::sched::{
     schedule_max_power, schedule_timing, ScheduleError, SchedulerConfig, SchedulerStats,
 };
@@ -93,5 +95,15 @@ fn a_4000_task_chain_fits_a_2_mib_stack() {
         let profile = PowerProfile::of_schedule(&g, &sigma, Power::ZERO);
         assert!(profile.peak() <= Power::from_watts(2));
         assert_eq!(sigma.finish_time(&g), Time::from_secs(n as i64));
+    });
+}
+
+#[test]
+fn a_million_nested_brackets_are_an_error_on_a_256_kib_stack() {
+    on_stack(256 * 1024, || {
+        let deep = "[".repeat(1_000_000);
+        assert!(json::parse(&deep).is_err());
+        let line = format!("{{\"event\":\"X\",\"a\":{deep}");
+        assert!(TraceEvent::from_json(&line).is_err());
     });
 }
