@@ -7,7 +7,6 @@
 //! diagnostic is rendered.
 
 use pas_graph::{EdgeId, ResourceId, TaskId};
-use std::collections::HashMap;
 
 /// A half-open byte range `[start, end)` into a source string.
 ///
@@ -86,7 +85,15 @@ pub struct SpanTable {
     pub deadline: Option<Span>,
     tasks: Vec<Option<Span>>,
     resources: Vec<Option<Span>>,
-    edges: HashMap<EdgeId, Span>,
+    edges: Vec<Option<Span>>,
+}
+
+/// Stores `span` at `index`, growing `slots` as needed.
+fn put(slots: &mut Vec<Option<Span>>, index: usize, span: Span) {
+    if slots.len() <= index {
+        slots.resize(index + 1, None);
+    }
+    slots[index] = Some(span);
 }
 
 impl SpanTable {
@@ -97,25 +104,17 @@ impl SpanTable {
 
     /// Records the declaring statement of a task.
     pub fn set_task(&mut self, id: TaskId, span: Span) {
-        let i = id.index();
-        if self.tasks.len() <= i {
-            self.tasks.resize(i + 1, None);
-        }
-        self.tasks[i] = Some(span);
+        put(&mut self.tasks, id.index(), span);
     }
 
     /// Records the declaring statement of a resource.
     pub fn set_resource(&mut self, id: ResourceId, span: Span) {
-        let i = id.index();
-        if self.resources.len() <= i {
-            self.resources.resize(i + 1, None);
-        }
-        self.resources[i] = Some(span);
+        put(&mut self.resources, id.index(), span);
     }
 
     /// Records the declaring statement of a constraint edge.
     pub fn set_edge(&mut self, id: EdgeId, span: Span) {
-        self.edges.insert(id, span);
+        put(&mut self.edges, id.index(), span);
     }
 
     /// Span of the statement that declared `id`, if known.
@@ -130,7 +129,7 @@ impl SpanTable {
 
     /// Span of the statement that declared `id`, if known.
     pub fn edge(&self, id: EdgeId) -> Option<Span> {
-        self.edges.get(&id).copied()
+        self.edges.get(id.index()).copied().flatten()
     }
 }
 

@@ -705,6 +705,25 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+impl Binding {
+    /// Appends the binding's members to a JSON object under
+    /// construction: `,"via":"anchor"`, `,"via":"power"`, or
+    /// `,"via":"edge","pred":…,"kind":…,"weight":…`. `TaskBound` trace
+    /// lines and `explain --json` chain links share this shape.
+    pub fn push_json_members(&self, out: &mut String) {
+        match self {
+            Binding::Anchor => put_str("via", "anchor", out),
+            Binding::Power => put_str("via", "power", out),
+            Binding::Edge { pred, kind, weight } => {
+                put_str("via", "edge", out);
+                pred.put("pred", out);
+                kind.put("kind", out);
+                weight.put("weight", out);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Field encodings
 // ---------------------------------------------------------------------
@@ -815,16 +834,7 @@ impl Wire for Ratio {
 /// `"weight"`.
 impl Wire for Binding {
     fn put(&self, _key: &str, out: &mut String) {
-        match self {
-            Binding::Anchor => put_str("via", "anchor", out),
-            Binding::Power => put_str("via", "power", out),
-            Binding::Edge { pred, kind, weight } => {
-                put_str("via", "edge", out);
-                pred.put("pred", out);
-                kind.put("kind", out);
-                weight.put("weight", out);
-            }
-        }
+        self.push_json_members(out);
     }
     fn take(_key: &str, members: &mut Members<'_>) -> Option<Self> {
         Some(match members.get("via")?.as_str()? {

@@ -255,20 +255,9 @@ impl Explanation {
             }
             let _ = write!(out, "{{\"task\":{},\"name\":\"", link.task.index());
             json::push_escaped(&mut out, &link.name);
-            let _ = write!(out, "\",\"start\":{},", link.start.since_origin().as_secs());
-            match &link.binding {
-                Binding::Edge { pred, kind, weight } => {
-                    let _ = write!(
-                        out,
-                        "\"via\":\"edge\",\"pred\":{},\"kind\":\"",
-                        pred.index()
-                    );
-                    json::push_escaped(&mut out, kind);
-                    let _ = write!(out, "\",\"weight\":{}}}", weight.as_secs());
-                }
-                Binding::Anchor => out.push_str("\"via\":\"anchor\"}"),
-                Binding::Power => out.push_str("\"via\":\"power\"}"),
-            }
+            let _ = write!(out, "\",\"start\":{}", link.start.since_origin().as_secs());
+            link.binding.push_json_members(&mut out);
+            out.push('}');
         }
         out.push_str("],\"power\":[");
         for (i, note) in self.power.iter().enumerate() {

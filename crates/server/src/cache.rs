@@ -29,12 +29,42 @@ use pas_sched::{ScheduleRepertoire, SessionContext};
 /// FNV-1a 64-bit hash — the workspace's standing choice for
 /// deterministic, dependency-free content keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a64`] as a `fmt::Write` sink: text is hashed as it is
+/// formatted, without building a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Hashes `bytes` after everything written so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Stored output of one fresh pipeline run, replayed on exact hits.

@@ -53,16 +53,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pas_core::json;
+use pas_core::{json, PowerConstraints, Problem};
 use pas_obs::{
     HighWater, JsonlWriter, MetricsRegistry, Observer, RecordingObserver, SharedObserver,
     StageKind, StageProfiler, Tee, TraceEvent,
 };
 use pas_par::{TaskPool, TaskPoolStats};
 use pas_sched::{PowerAwareScheduler, ScheduleRepertoire, SchedulerConfig, SessionContext};
-use pas_spec::{parse_problem, print_problem, print_schedule};
+use pas_spec::{parse_problem, print_schedule, write_problem};
 
-use crate::cache::{fnv1a64, ExactEntry, ResponseCache};
+use crate::cache::{ExactEntry, Fnv1a, ResponseCache};
 use crate::http::{ConnLimits, HttpConn, ReadOutcome, Request, Response};
 use crate::metrics::{stage_index, ServerGauges, ServerMetrics, SlowEntry};
 use crate::signal;
@@ -642,6 +642,14 @@ impl Served {
     }
 }
 
+/// FNV-1a 64 of `print_problem(problem)`, hashed as it is printed.
+fn canonical_key(problem: &Problem) -> u64 {
+    let mut hash = Fnv1a::default();
+    // Writing into the hash cannot fail.
+    let _ = write_problem(&mut hash, problem, None);
+    hash.finish()
+}
+
 fn handle_schedule(request: &Request, shared: &Shared) -> Response {
     let t_total = Instant::now();
     let now_s = shared.now_s();
@@ -665,15 +673,14 @@ fn handle_schedule(request: &Request, shared: &Shared) -> Response {
     };
     record_stage_us(shared, "parse", t_parse.elapsed(), now_s);
 
-    // Cache keys from the canonical text: the exact key sees the full
-    // problem, the graph key sees it with the envelope erased.
-    let canonical = print_problem(&problem);
-    let exact_key = fnv1a64(canonical.as_bytes());
-    let graph_key = {
-        let mut unconstrained = problem.clone();
-        unconstrained.set_constraints(pas_core::PowerConstraints::unconstrained());
-        fnv1a64(print_problem(&unconstrained).as_bytes())
-    };
+    // Cache keys from the canonical text, streamed into the hash: the
+    // exact key sees the full problem, the graph key sees it with the
+    // envelope erased for the duration of its print.
+    let exact_key = canonical_key(&problem);
+    let envelope = problem.constraints();
+    problem.set_constraints(PowerConstraints::unconstrained());
+    let graph_key = canonical_key(&problem);
+    problem.set_constraints(envelope);
     let seq = shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
     let trace_id = format!("r{seq:06}-{:08x}", (exact_key >> 32) as u32);
     let model = problem.name().to_string();

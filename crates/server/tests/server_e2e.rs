@@ -337,9 +337,17 @@ fn shutdown_drains_and_flushes_the_audit_trail() {
 fn bad_bodies_get_400_and_infeasible_problems_422() {
     let (handle, join) = start_server(None);
 
-    let (status, _, body) = http(handle.addr(), "POST", "/schedule", b"not pasdl at all");
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
-    assert!(String::from_utf8(body).unwrap().contains("parse error"));
+    // Garbage, and envelopes the power model cannot hold: each is a
+    // 400 from the parser, never a panicked worker.
+    for garbage in [
+        &b"not pasdl at all"[..],
+        b"problem p { pmax 5W pmin -1W resource A task a on A delay 1s power 1W }",
+        b"problem p { pmax 5W background -1W resource A task a on A delay 1s power 1W }",
+    ] {
+        let (status, _, body) = http(handle.addr(), "POST", "/schedule", garbage);
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        assert!(String::from_utf8(body).unwrap().contains("parse error"));
+    }
 
     // A deadline of zero with positive task delays is provably
     // infeasible; the daemon reports it without crashing a worker.

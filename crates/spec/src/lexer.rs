@@ -12,14 +12,20 @@
 //!   [`pas_graph::units`])
 //! * punctuation: `{`, `}`, `->`
 //! * comments: `#` to end of line.
+//!
+//! The lexer hands out tokens on demand, each borrowing its text from
+//! the source, so a parse is one pass over the bytes. ASCII takes a
+//! byte fast path; any other character goes through the same `char`
+//! predicates (`is_whitespace`, `is_alphabetic`, `is_alphanumeric`).
 
+use crate::parser::ParseError;
 use core::fmt;
 
 /// A lexical token with its 1-based source line and byte extent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token<'a> {
     /// Token payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line number for diagnostics.
     pub line: usize,
     /// Byte offset of the token's first character.
@@ -29,12 +35,12 @@ pub struct Token {
 }
 
 /// Token payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TokenKind<'a> {
     /// Bare identifier or keyword.
-    Ident(String),
-    /// Double-quoted string (no escapes).
-    Str(String),
+    Ident(&'a str),
+    /// Double-quoted string (no escapes), without its quotes.
+    Str(&'a str),
     /// Dimensioned quantity: scaled integer + unit.
     Value {
         /// Magnitude in the unit's fixed-point scale (seconds for
@@ -53,7 +59,7 @@ pub enum TokenKind {
 
 /// Units PASDL understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// Seconds (integral).
     Seconds,
     /// Watts (three decimals → milliwatts).
@@ -72,275 +78,218 @@ impl fmt::Display for Unit {
     }
 }
 
-/// A lexing failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Human-readable description.
-    pub message: String,
-    /// 1-based line number.
-    pub line: usize,
+/// The token stream of one source text.
+pub(crate) struct Lexer<'a> {
+    source: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
+    /// 1-based line of `pos`.
+    line: usize,
 }
 
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(source: &'a str) -> Self {
+        Lexer {
+            source,
+            pos: 0,
+            line: 1,
+        }
     }
-}
 
-impl std::error::Error for LexError {}
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            message: message.into(),
+            line: self.line,
+        }
+    }
 
-/// Tokenizes PASDL source.
-///
-/// # Errors
-/// Returns a [`LexError`] for unterminated strings, malformed
-/// numbers, unknown units, or stray characters.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
-    let mut tokens = Vec::new();
-    let mut line = 1usize;
-    let mut chars = Cursor::new(source);
+    /// The character at byte offset `at`, which is a character
+    /// boundary.
+    fn char_at(&self, at: usize) -> Option<char> {
+        self.source[at..].chars().next()
+    }
 
-    while let Some(c) = chars.peek() {
-        let start = chars.pos();
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
-                while let Some(c) = chars.next() {
-                    if c == '\n' {
-                        line += 1;
-                        break;
-                    }
+    /// The next token, or `None` at the end of the input.
+    ///
+    /// # Errors
+    /// Unterminated strings, malformed numbers, unknown units and
+    /// stray characters, with the line they start on.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        let bytes = self.source.as_bytes();
+        loop {
+            let start = self.pos;
+            let Some(&byte) = bytes.get(start) else {
+                return Ok(None);
+            };
+            let kind = match byte {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                    continue;
                 }
-            }
-            '{' => {
-                chars.next();
-                tokens.push(Token {
-                    kind: TokenKind::LBrace,
-                    line,
-                    start,
-                    end: chars.pos(),
-                });
-            }
-            '}' => {
-                chars.next();
-                tokens.push(Token {
-                    kind: TokenKind::RBrace,
-                    line,
-                    start,
-                    end: chars.pos(),
-                });
-            }
-            '-' => {
-                chars.next();
-                match chars.peek() {
-                    Some('>') => {
-                        chars.next();
-                        tokens.push(Token {
-                            kind: TokenKind::Arrow,
-                            line,
-                            start,
-                            end: chars.pos(),
-                        });
+                // The rest of ASCII's `char::is_whitespace`.
+                b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c' => {
+                    self.pos += 1;
+                    continue;
+                }
+                b'#' => {
+                    match bytes[start..].iter().position(|&b| b == b'\n') {
+                        Some(newline) => {
+                            self.pos = start + newline + 1;
+                            self.line += 1;
+                        }
+                        None => self.pos = bytes.len(),
+                    }
+                    continue;
+                }
+                b'{' => {
+                    self.pos += 1;
+                    TokenKind::LBrace
+                }
+                b'}' => {
+                    self.pos += 1;
+                    TokenKind::RBrace
+                }
+                b'-' => match bytes.get(start + 1) {
+                    Some(b'>') => {
+                        self.pos += 2;
+                        TokenKind::Arrow
                     }
                     Some(d) if d.is_ascii_digit() => {
-                        let tok = lex_value(&mut chars, true, line, start)?;
-                        tokens.push(tok);
+                        self.pos += 1;
+                        self.value(true)?
                     }
-                    _ => {
-                        return Err(LexError {
-                            message: "expected '->' or a negative number after '-'".into(),
-                            line,
-                        })
-                    }
-                }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\n') | None => {
-                            return Err(LexError {
-                                message: "unterminated string".into(),
-                                line,
-                            })
+                    _ => return Err(self.err("expected '->' or a negative number after '-'")),
+                },
+                b'"' => {
+                    let body = start + 1;
+                    match bytes[body..].iter().position(|&b| b == b'"' || b == b'\n') {
+                        Some(len) if bytes[body + len] == b'"' => {
+                            self.pos = body + len + 1;
+                            TokenKind::Str(&self.source[body..body + len])
                         }
-                        Some(c) => s.push(c),
+                        _ => return Err(self.err("unterminated string")),
                     }
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    line,
-                    start,
-                    end: chars.pos(),
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let tok = lex_value(&mut chars, false, line, start)?;
-                tokens.push(tok);
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
+                b'0'..=b'9' => self.value(false)?,
+                b'_' | b'a'..=b'z' | b'A'..=b'Z' => self.ident(),
+                _ => {
+                    let Some(c) = self.char_at(start) else {
+                        return Ok(None);
+                    };
+                    if c.is_whitespace() {
+                        self.pos += c.len_utf8();
+                        continue;
                     }
+                    if !c.is_alphabetic() {
+                        return Err(self.err(format!("unexpected character {c:?}")));
+                    }
+                    self.ident()
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(s),
-                    line,
-                    start,
-                    end: chars.pos(),
-                });
-            }
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character {other:?}"),
-                    line,
-                })
-            }
-        }
-    }
-    Ok(tokens)
-}
-
-/// A peekable character stream that knows its byte position, so every
-/// token can carry the exact source extent `pas-lint` spans need.
-struct Cursor<'a> {
-    len: usize,
-    iter: core::iter::Peekable<core::str::CharIndices<'a>>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(source: &'a str) -> Self {
-        Cursor {
-            len: source.len(),
-            iter: source.char_indices().peekable(),
+            };
+            return Ok(Some(Token {
+                kind,
+                line: self.line,
+                start,
+                end: self.pos,
+            }));
         }
     }
 
-    /// Byte offset of the next unconsumed character (source length at
-    /// end of input).
-    fn pos(&mut self) -> usize {
-        self.iter.peek().map_or(self.len, |&(i, _)| i)
+    /// Lexes an identifier whose first character is at `pos`.
+    fn ident(&mut self) -> TokenKind<'a> {
+        let start = self.pos;
+        let bytes = self.source.as_bytes();
+        while let Some(&byte) = bytes.get(self.pos) {
+            if byte.is_ascii_alphanumeric() || byte == b'_' {
+                self.pos += 1;
+            } else if byte.is_ascii() {
+                break;
+            } else {
+                match self.char_at(self.pos) {
+                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
+                    _ => break,
+                }
+            }
+        }
+        TokenKind::Ident(&self.source[start..self.pos])
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.iter.peek().map(|&(_, c)| c)
-    }
-
-    #[allow(clippy::should_implement_trait)]
-    fn next(&mut self) -> Option<char> {
-        self.iter.next().map(|(_, c)| c)
-    }
-}
-
-/// Lexes `123`, `14.9`, … followed by a unit letter.
-fn lex_value(
-    chars: &mut Cursor<'_>,
-    negative: bool,
-    line: usize,
-    start: usize,
-) -> Result<Token, LexError> {
-    let mut whole: i64 = 0;
-    while let Some(c) = chars.peek() {
-        if let Some(d) = c.to_digit(10) {
+    /// Lexes `123`, `14.9`, … followed by a unit letter; `pos` is at
+    /// the first digit.
+    fn value(&mut self, negative: bool) -> Result<TokenKind<'a>, ParseError> {
+        let bytes = self.source.as_bytes();
+        let digit = |at: usize| {
+            bytes
+                .get(at)
+                .filter(|b| b.is_ascii_digit())
+                .map(|b| i64::from(b - b'0'))
+        };
+        let mut whole: i64 = 0;
+        while let Some(d) = digit(self.pos) {
             whole = whole
                 .checked_mul(10)
-                .and_then(|w| w.checked_add(d as i64))
-                .ok_or_else(|| LexError {
-                    message: "number too large".into(),
-                    line,
-                })?;
-            chars.next();
-        } else {
-            break;
+                .and_then(|w| w.checked_add(d))
+                .ok_or_else(|| self.err("number too large"))?;
+            self.pos += 1;
         }
-    }
-    let mut frac: i64 = 0;
-    let mut frac_digits = 0usize;
-    if chars.peek() == Some('.') {
-        chars.next();
-        while let Some(c) = chars.peek() {
-            if let Some(d) = c.to_digit(10) {
+        let mut frac: i64 = 0;
+        let mut frac_digits = 0u32;
+        if bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            while let Some(d) = digit(self.pos) {
                 if frac_digits >= 3 {
-                    return Err(LexError {
-                        message: "at most three decimal places are representable".into(),
-                        line,
-                    });
+                    return Err(self.err("at most three decimal places are representable"));
                 }
-                frac = frac * 10 + d as i64;
+                frac = frac * 10 + d;
                 frac_digits += 1;
-                chars.next();
-            } else {
-                break;
+                self.pos += 1;
+            }
+            if frac_digits == 0 {
+                return Err(self.err("expected digits after decimal point"));
             }
         }
-        if frac_digits == 0 {
-            return Err(LexError {
-                message: "expected digits after decimal point".into(),
-                line,
-            });
+        let unit = match bytes.get(self.pos) {
+            Some(b's') => Unit::Seconds,
+            Some(b'W') => Unit::Watts,
+            Some(b'J') => Unit::Joules,
+            _ => {
+                let other = self.char_at(self.pos);
+                return Err(self.err(format!("expected unit (s/W/J), found {other:?}")));
+            }
+        };
+        self.pos += 1;
+        if unit == Unit::Seconds && frac_digits > 0 {
+            return Err(self.err("seconds must be integral"));
         }
+        let scale = match unit {
+            Unit::Seconds => 1,
+            Unit::Watts | Unit::Joules => 1000,
+        };
+        // Seconds have no fraction, so `frac` is 0 for them.
+        let magnitude = whole
+            .checked_mul(scale)
+            .and_then(|w| w.checked_add(frac * 10_i64.pow(3 - frac_digits)))
+            .ok_or_else(|| self.err("number too large"))?;
+        let scaled = if negative { -magnitude } else { magnitude };
+        Ok(TokenKind::Value { scaled, unit })
     }
-    let unit = match chars.next() {
-        Some('s') => Unit::Seconds,
-        Some('W') => Unit::Watts,
-        Some('J') => Unit::Joules,
-        other => {
-            return Err(LexError {
-                message: format!("expected unit (s/W/J), found {other:?}"),
-                line,
-            })
-        }
-    };
-    if unit == Unit::Seconds && frac_digits > 0 {
-        return Err(LexError {
-            message: "seconds must be integral".into(),
-            line,
-        });
-    }
-    let scale = match unit {
-        Unit::Seconds => 1,
-        Unit::Watts | Unit::Joules => 1000,
-    };
-    let mut frac_scaled = frac;
-    for _ in frac_digits..3 {
-        frac_scaled *= 10;
-    }
-    if unit == Unit::Seconds {
-        frac_scaled = 0;
-    }
-    let magnitude = whole
-        .checked_mul(scale)
-        .and_then(|w| w.checked_add(frac_scaled))
-        .ok_or_else(|| LexError {
-            message: "number too large".into(),
-            line,
-        })?;
-    let scaled = if negative { -magnitude } else { magnitude };
-    Ok(Token {
-        kind: TokenKind::Value { scaled, unit },
-        line,
-        start,
-        end: chars.pos(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn tokenize(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+        let mut lexer = Lexer::new(src);
+        let mut tokens = Vec::new();
+        while let Some(token) = lexer.next_token()? {
+            tokens.push(token);
+        }
+        Ok(tokens)
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -350,8 +299,8 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("problem".into()),
-                TokenKind::Str("demo".into()),
+                TokenKind::Ident("problem"),
+                TokenKind::Str("demo"),
                 TokenKind::LBrace,
                 TokenKind::RBrace,
             ]
@@ -388,9 +337,9 @@ mod tests {
         assert_eq!(
             kinds("a -> b -5s"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Arrow,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Value {
                     scaled: -5,
                     unit: Unit::Seconds

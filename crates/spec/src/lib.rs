@@ -23,7 +23,8 @@
 //! * [`parse_problem_spanned`] — parsing that keeps per-statement
 //!   byte spans so `pas-lint` diagnostics point into the source;
 //! * [`print_problem`] / [`print_schedule`] — the inverse printers
-//!   (round-trip tested);
+//!   (round-trip tested), and [`write_problem`], which streams the
+//!   same text into any `fmt::Write`;
 //! * the `impacct-cli` binary — schedule / validate / lint /
 //!   pretty-print PASDL files from the command line.
 //!
@@ -47,9 +48,8 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use lexer::{tokenize, LexError, Token, TokenKind, Unit};
 pub use parser::{
     parse_problem, parse_problem_full, parse_problem_spanned, parse_schedule, ParseError,
     ParsedProblem, SpannedProblem,
 };
-pub use printer::{print_problem, print_problem_full, print_schedule};
+pub use printer::{print_problem, print_problem_full, print_schedule, write_problem};

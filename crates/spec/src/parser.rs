@@ -17,7 +17,7 @@
 //!
 //! `name` is an identifier or a quoted string.
 
-use crate::lexer::{tokenize, LexError, Token, TokenKind, Unit};
+use crate::lexer::{Lexer, Token, TokenKind, Unit};
 use pas_core::power_model::PowerRange;
 use pas_core::{PowerConstraints, Problem, Schedule};
 use pas_graph::units::{Power, Time, TimeSpan};
@@ -67,43 +67,58 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            line: e.line,
-        }
-    }
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A recursive-descent parser over the lexer with one token of
+/// look-ahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, already lexed.
+    peeked: Option<Token<'a>>,
+    /// Whether the lexer failed: its error is then the parse's result.
+    lex_failed: bool,
     /// Byte extent of the most recently consumed token, for statement
     /// span recording.
     last: (usize, usize),
 }
 
-impl Parser {
-    fn new(source: &str) -> Result<Self, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(source: &'a str) -> Result<Self, ParseError> {
+        let mut lexer = Lexer::new(source);
+        let peeked = lexer.next_token()?;
         Ok(Parser {
-            tokens: tokenize(source)?,
-            pos: 0,
+            lexer,
+            peeked,
+            lex_failed: false,
             last: (0, 0),
         })
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.peeked.as_ref()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if let Some(t) = &t {
-            self.pos += 1;
-            self.last = (t.start, t.end);
+    fn next(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        let Some(t) = self.peeked else {
+            return Ok(None);
+        };
+        self.peeked = match self.lexer.next_token() {
+            Ok(next) => next,
+            Err(e) => {
+                self.lex_failed = true;
+                return Err(e);
+            }
+        };
+        self.last = (t.start, t.end);
+        Ok(Some(t))
+    }
+
+    /// Settles a parse's result as if the whole input had been lexed
+    /// before parsing: the first lex error anywhere in it wins over a
+    /// parse error and over success.
+    fn finish<T>(mut self, result: Result<T, ParseError>) -> Result<T, ParseError> {
+        if !self.lex_failed {
+            while self.lexer.next_token()?.is_some() {}
         }
-        t
+        result
     }
 
     /// Span of the last consumed token.
@@ -129,7 +144,7 @@ impl Parser {
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.next() {
+        match self.next()? {
             Some(Token {
                 kind: TokenKind::Ident(s),
                 ..
@@ -141,8 +156,8 @@ impl Parser {
         }
     }
 
-    fn expect_name(&mut self) -> Result<String, ParseError> {
-        match self.next() {
+    fn expect_name(&mut self) -> Result<&'a str, ParseError> {
+        match self.next()? {
             Some(Token {
                 kind: TokenKind::Ident(s) | TokenKind::Str(s),
                 ..
@@ -155,7 +170,7 @@ impl Parser {
     }
 
     fn expect_lbrace(&mut self) -> Result<(), ParseError> {
-        match self.next() {
+        match self.next()? {
             Some(Token {
                 kind: TokenKind::LBrace,
                 ..
@@ -168,7 +183,7 @@ impl Parser {
     }
 
     fn expect_arrow(&mut self) -> Result<(), ParseError> {
-        match self.next() {
+        match self.next()? {
             Some(Token {
                 kind: TokenKind::Arrow,
                 ..
@@ -181,7 +196,7 @@ impl Parser {
     }
 
     fn expect_value(&mut self, unit: Unit) -> Result<i64, ParseError> {
-        match self.next() {
+        match self.next()? {
             Some(Token {
                 kind: TokenKind::Value { scaled, unit: u },
                 line,
@@ -252,6 +267,11 @@ pub fn parse_problem_full(source: &str) -> Result<ParsedProblem, ParseError> {
 /// Same conditions as [`parse_problem_full`].
 pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError> {
     let mut p = Parser::new(source)?;
+    let result = problem_body(&mut p);
+    p.finish(result)
+}
+
+fn problem_body(p: &mut Parser<'_>) -> Result<SpannedProblem, ParseError> {
     p.expect_keyword("problem")?;
     let name = p.expect_name()?;
     let mut spans = SpanTable::empty();
@@ -259,8 +279,8 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
     p.expect_lbrace()?;
 
     let mut graph = ConstraintGraph::new();
-    let mut resources: HashMap<String, ResourceId> = HashMap::new();
-    let mut tasks: HashMap<String, TaskId> = HashMap::new();
+    let mut resources: HashMap<&str, ResourceId> = HashMap::new();
+    let mut tasks: HashMap<&str, TaskId> = HashMap::new();
     let mut ranges: Vec<PowerRange> = Vec::new();
     let mut p_max: Option<Power> = None;
     let mut p_min = Power::ZERO;
@@ -268,7 +288,7 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
     let mut deadline: Option<Time> = None;
 
     loop {
-        let tok = match p.next() {
+        let tok = match p.next()? {
             None => return p.err("unexpected end of input: missing '}'"),
             Some(t) => t,
         };
@@ -283,17 +303,31 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                 })
             }
         };
-        match stmt.as_str() {
+        match stmt {
             "pmax" => {
                 p_max = Some(Power::from_watts_milli(p.expect_value(Unit::Watts)?));
                 spans.pmax = Some(p.stmt_span(stmt_start));
             }
             "pmin" => {
-                p_min = Power::from_watts_milli(p.expect_value(Unit::Watts)?);
+                let watts = p.expect_value(Unit::Watts)?;
+                if watts < 0 {
+                    return Err(ParseError {
+                        message: "pmin must be non-negative".into(),
+                        line: tok.line,
+                    });
+                }
+                p_min = Power::from_watts_milli(watts);
                 spans.pmin = Some(p.stmt_span(stmt_start));
             }
             "background" => {
-                background = Power::from_watts_milli(p.expect_value(Unit::Watts)?);
+                let watts = p.expect_value(Unit::Watts)?;
+                if watts < 0 {
+                    return Err(ParseError {
+                        message: "background must be non-negative".into(),
+                        line: tok.line,
+                    });
+                }
+                background = Power::from_watts_milli(watts);
                 spans.background = Some(p.stmt_span(stmt_start));
             }
             "deadline" => {
@@ -313,10 +347,10 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                     Some(Token {
                         kind: TokenKind::Ident(k),
                         ..
-                    }) if ["compute", "mechanical", "thermal", "other"].contains(&k.as_str()) => {
-                        let k = k.clone();
-                        p.next();
-                        match k.as_str() {
+                    }) if ["compute", "mechanical", "thermal", "other"].contains(k) => {
+                        let k = *k;
+                        p.next()?;
+                        match k {
                             "compute" => ResourceKind::Compute,
                             "mechanical" => ResourceKind::Mechanical,
                             "thermal" => ResourceKind::Thermal,
@@ -325,13 +359,13 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                     }
                     _ => ResourceKind::Other,
                 };
-                if resources.contains_key(&rname) {
+                if resources.contains_key(rname) {
                     return Err(ParseError {
                         message: format!("duplicate resource {rname:?}"),
                         line: tok.line,
                     });
                 }
-                let id = graph.add_resource(Resource::new(rname.clone(), kind));
+                let id = graph.add_resource(Resource::new(rname, kind));
                 spans.set_resource(id, p.stmt_span(stmt_start));
                 resources.insert(rname, id);
             }
@@ -343,11 +377,11 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                 let delay = p.expect_value(Unit::Seconds)?;
                 p.expect_keyword("power")?;
                 let power = p.expect_value(Unit::Watts)?;
-                let &rid = resources.get(&rname).ok_or_else(|| ParseError {
+                let &rid = resources.get(rname).ok_or_else(|| ParseError {
                     message: format!("unknown resource {rname:?}"),
                     line: tok.line,
                 })?;
-                if tasks.contains_key(&tname) {
+                if tasks.contains_key(tname) {
                     return Err(ParseError {
                         message: format!("duplicate task {tname:?}"),
                         line: tok.line,
@@ -370,8 +404,8 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                     Some(Token {
                         kind: TokenKind::Ident(k),
                         ..
-                    }) if k == "corners" => {
-                        p.next();
+                    }) if *k == "corners" => {
+                        p.next()?;
                         let min = p.expect_value(Unit::Watts)?;
                         let max = p.expect_value(Unit::Watts)?;
                         if min < 0 || min > power || power > max {
@@ -391,7 +425,7 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                     _ => PowerRange::exact(Power::from_watts_milli(power)),
                 };
                 let id = graph.add_task(Task::new(
-                    tname.clone(),
+                    tname,
                     rid,
                     TimeSpan::from_secs(delay),
                     Power::from_watts_milli(power),
@@ -411,8 +445,8 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
                         line: tok.line,
                     })
                 };
-                let (u, v) = (lookup(&from)?, lookup(&to)?);
-                let edge = match stmt.as_str() {
+                let (u, v) = (lookup(from)?, lookup(to)?);
+                let edge = match stmt {
                     "min" => {
                         let sep = p.expect_value(Unit::Seconds)?;
                         graph.min_separation(u, v, TimeSpan::from_secs(sep))
@@ -473,6 +507,11 @@ pub fn parse_problem_spanned(source: &str) -> Result<SpannedProblem, ParseError>
 /// duplicates, or missing tasks.
 pub fn parse_schedule(source: &str, problem: &Problem) -> Result<(String, Schedule), ParseError> {
     let mut p = Parser::new(source)?;
+    let result = schedule_body(&mut p, problem);
+    p.finish(result)
+}
+
+fn schedule_body(p: &mut Parser<'_>, problem: &Problem) -> Result<(String, Schedule), ParseError> {
     p.expect_keyword("schedule")?;
     let name = p.expect_name()?;
     p.expect_lbrace()?;
@@ -480,16 +519,16 @@ pub fn parse_schedule(source: &str, problem: &Problem) -> Result<(String, Schedu
     let graph = problem.graph();
     let mut starts: Vec<Option<Time>> = vec![None; graph.num_tasks()];
     loop {
-        let tok = match p.next() {
+        let tok = match p.next()? {
             None => return p.err("unexpected end of input: missing '}'"),
             Some(t) => t,
         };
         match tok.kind {
             TokenKind::RBrace => break,
-            TokenKind::Ident(s) if s == "start" => {
+            TokenKind::Ident("start") => {
                 let tname = p.expect_name()?;
                 let secs = p.expect_value(Unit::Seconds)?;
-                let id = graph.task_by_name(&tname).ok_or_else(|| ParseError {
+                let id = graph.task_by_name(tname).ok_or_else(|| ParseError {
                     message: format!("unknown task {tname:?}"),
                     line: tok.line,
                 })?;
@@ -525,7 +564,7 @@ pub fn parse_schedule(source: &str, problem: &Problem) -> Result<(String, Schedu
             }
         }
     }
-    Ok((name, Schedule::from_starts(resolved)))
+    Ok((name.to_string(), Schedule::from_starts(resolved)))
 }
 
 #[cfg(test)]
@@ -627,6 +666,47 @@ problem "demo" {
         );
         let err = parse_problem(r#"problem "d" { pmax 5W deadline -3s }"#).unwrap_err();
         assert!(err.message.contains("non-negative"), "{err}");
+    }
+
+    #[test]
+    fn the_first_lex_error_anywhere_wins_over_a_parse_error() {
+        // The unknown task on line 3 is a parse error, but the open
+        // string on line 4 is a lex error, and lex errors win as if
+        // the whole input had been tokenized first.
+        let src = "problem p { pmax 5W\nresource A task a on A delay 1s power 1W\n\
+                   precedence a -> zz\n\"open";
+        assert_eq!(
+            parse_problem(src).unwrap_err().to_string(),
+            "line 4: unterminated string"
+        );
+        let err = parse_schedule("schedule s { start a 0s } $", &parse_problem(DEMO).unwrap());
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "line 1: unexpected character '$'"
+        );
+        // Messages that name a token print its `Debug` form.
+        let src = "problem p { pmax 5W resource A task a at A }";
+        assert_eq!(
+            parse_problem(src).unwrap_err().to_string(),
+            "line 1: expected keyword \"on\", found \
+             Some(Token { kind: Ident(\"at\"), line: 1, start: 38, end: 40 })"
+        );
+    }
+
+    #[test]
+    fn negative_pmin_and_background_are_errors_not_panics() {
+        for (src, message) in [
+            (
+                "problem p { pmax 5W pmin -1W resource A task a on A delay 1s power 1W }",
+                "line 1: pmin must be non-negative",
+            ),
+            (
+                "problem p {\n  pmax 5W\n  background -1W\n}",
+                "line 3: background must be non-negative",
+            ),
+        ] {
+            assert_eq!(parse_problem(src).unwrap_err().to_string(), message);
+        }
     }
 
     #[test]

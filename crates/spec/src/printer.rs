@@ -7,7 +7,7 @@ use pas_core::power_model::{Corner, PowerRange};
 use pas_core::{Problem, Schedule};
 use pas_graph::units::Power;
 use pas_graph::{EdgeKind, ResourceKind};
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Renders `problem` as a PASDL document.
 ///
@@ -35,26 +35,44 @@ pub fn print_problem(problem: &Problem) -> String {
 /// Panics if `ranges` is `Some` and does not cover every task.
 pub fn print_problem_full(problem: &Problem, ranges: Option<&[PowerRange]>) -> String {
     let mut s = String::new();
+    let _ = write_problem(&mut s, problem, ranges);
+    s
+}
+
+/// Writes the text of [`print_problem_full`] to `out` as it is
+/// formatted, so a caller that only hashes or measures it needs no
+/// `String`.
+///
+/// # Errors
+/// Only those `out` returns.
+///
+/// # Panics
+/// Panics if `ranges` is `Some` and does not cover every task.
+pub fn write_problem<W: Write + ?Sized>(
+    out: &mut W,
+    problem: &Problem,
+    ranges: Option<&[PowerRange]>,
+) -> fmt::Result {
     let g = problem.graph();
     if let Some(r) = ranges {
         assert_eq!(r.len(), g.num_tasks(), "need one range per task");
     }
-    let _ = writeln!(s, "problem {} {{", quoted(problem.name()));
+    writeln!(out, "problem {} {{", Quoted(problem.name()))?;
     if problem.constraints().p_max() == Power::MAX {
         // Unconstrained budgets are not representable as a number;
         // print an absurdly large stand-in.
-        let _ = writeln!(s, "  pmax {}", Power::from_watts(1_000_000));
+        writeln!(out, "  pmax {}", Power::from_watts(1_000_000))?;
     } else {
-        let _ = writeln!(s, "  pmax {}", problem.constraints().p_max());
+        writeln!(out, "  pmax {}", problem.constraints().p_max())?;
     }
     if problem.constraints().p_min() > Power::ZERO {
-        let _ = writeln!(s, "  pmin {}", problem.constraints().p_min());
+        writeln!(out, "  pmin {}", problem.constraints().p_min())?;
     }
     if problem.background_power() > Power::ZERO {
-        let _ = writeln!(s, "  background {}", problem.background_power());
+        writeln!(out, "  background {}", problem.background_power())?;
     }
     if let Some(deadline) = problem.deadline() {
-        let _ = writeln!(s, "  deadline {deadline}");
+        writeln!(out, "  deadline {deadline}")?;
     }
     for (_, r) in g.resources() {
         let kind = match r.kind() {
@@ -63,56 +81,55 @@ pub fn print_problem_full(problem: &Problem, ranges: Option<&[PowerRange]>) -> S
             ResourceKind::Thermal => "thermal",
             _ => "other",
         };
-        let _ = writeln!(s, "  resource {} {kind}", quoted(r.name()));
+        writeln!(out, "  resource {} {kind}", Quoted(r.name()))?;
     }
     for (id, t) in g.tasks() {
-        let _ = write!(
-            s,
+        write!(
+            out,
             "  task {} on {} delay {} power {}",
-            quoted(t.name()),
-            quoted(g.resource(t.resource()).name()),
+            Quoted(t.name()),
+            Quoted(g.resource(t.resource()).name()),
             t.delay(),
             t.power()
-        );
+        )?;
         if let Some(ranges) = ranges {
             let range = ranges[id.index()];
             let (min, max) = (range.at(Corner::Min), range.at(Corner::Max));
             if min != t.power() || max != t.power() {
-                let _ = write!(s, " corners {min} {max}");
+                write!(out, " corners {min} {max}")?;
             }
         }
-        s.push('\n');
+        out.write_char('\n')?;
     }
     for (_, e) in g.edges() {
-        let task_name = |node: pas_graph::NodeId| node.task().map(|t| quoted(g.task(t).name()));
+        let task_name = |node: pas_graph::NodeId| node.task().map(|t| Quoted(g.task(t).name()));
         match e.kind() {
             EdgeKind::MinSeparation => {
                 if let (Some(from), Some(to)) = (task_name(e.from()), task_name(e.to())) {
-                    let _ = writeln!(s, "  min {from} -> {to} {}", e.weight());
+                    writeln!(out, "  min {from} -> {to} {}", e.weight())?;
                 }
             }
             EdgeKind::MaxSeparation => {
                 // Stored reversed with negative weight.
                 if let (Some(to), Some(from)) = (task_name(e.from()), task_name(e.to())) {
-                    let _ = writeln!(s, "  max {from} -> {to} {}", -e.weight());
+                    writeln!(out, "  max {from} -> {to} {}", -e.weight())?;
                 }
             }
             _ => {} // derived edges are solver state, not the problem
         }
     }
-    s.push_str("}\n");
-    s
+    out.write_str("}\n")
 }
 
 /// Renders `schedule` (named `name`) as a PASDL document.
 pub fn print_schedule(name: &str, problem: &Problem, schedule: &Schedule) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "schedule {} {{", quoted(name));
+    let _ = writeln!(s, "schedule {} {{", Quoted(name));
     for (id, start) in schedule.iter() {
         let _ = writeln!(
             s,
             "  start {} {}",
-            quoted(problem.graph().task(id).name()),
+            Quoted(problem.graph().task(id).name()),
             start
         );
     }
@@ -120,19 +137,26 @@ pub fn print_schedule(name: &str, problem: &Problem, schedule: &Schedule) -> Str
     s
 }
 
-/// Quotes a name unless it is a bare identifier.
-fn quoted(name: &str) -> String {
-    let bare = !name.is_empty()
-        && name
+/// A name as PASDL writes it: bare when it lexes as an identifier that
+/// is no keyword, quoted otherwise.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.0;
+        let bare = name
             .chars()
             .next()
             .is_some_and(|c| c.is_alphabetic() || c == '_')
-        && name.chars().all(|c| c.is_alphanumeric() || c == '_')
-        && !is_keyword(name);
-    if bare {
-        name.to_string()
-    } else {
-        format!("\"{name}\"")
+            && name.chars().all(|c| c.is_alphanumeric() || c == '_')
+            && !is_keyword(name);
+        if bare {
+            f.write_str(name)
+        } else {
+            f.write_char('"')?;
+            f.write_str(name)?;
+            f.write_char('"')
+        }
     }
 }
 
@@ -216,6 +240,7 @@ mod tests {
 
     #[test]
     fn keywords_and_odd_names_are_quoted() {
+        let quoted = |name| Quoted(name).to_string();
         assert_eq!(quoted("task"), "\"task\"");
         assert_eq!(quoted("heat#1"), "\"heat#1\"");
         assert_eq!(quoted("plain_name2"), "plain_name2");

@@ -29,7 +29,7 @@ use impacct::graph::ConstraintGraph;
 use impacct::obs::{RecordingObserver, TraceEvent};
 use impacct::sched::{schedule_max_power_observed, SchedulerConfig};
 use impacct::workload::{generate, GeneratorConfig, Topology};
-use support::staircase;
+use support::{staircase, Lcg};
 
 /// Runs the max-power stage and renders its events and outcome.
 fn trace(
@@ -165,14 +165,7 @@ fn default_limit_recursions_match_the_golden_digests() {
 /// reader without a panic.
 #[test]
 fn golden_lines_round_trip_and_their_mutants_never_panic() {
-    // A 64-bit LCG (Knuth's MMIX constants): deterministic, no deps.
-    let mut state = 0x5eed_u64;
-    let mut below = |n: usize| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) as usize % n
-    };
+    let mut rng = Lcg::new(0x5eed);
     let (mut lines, mut events, mut mutants) = (0, 0, 0);
     for file in [
         "max_power_staircase8.jsonl",
@@ -193,19 +186,7 @@ fn golden_lines_round_trip_and_their_mutants_never_panic() {
                     assert!(line.starts_with("{\"outcome\":"), "{line}");
                 }
             }
-            let bytes = line.as_bytes();
-            let mut variants = Vec::new();
-            for _ in 0..4 {
-                variants.push(bytes[..below(bytes.len())].to_vec());
-                let mut flipped = bytes.to_vec();
-                flipped[below(bytes.len())] ^= 1 << below(8);
-                variants.push(flipped);
-            }
-            for byte in *b"\\\"{[" {
-                let mut inserted = bytes.to_vec();
-                inserted.insert(below(bytes.len() + 1), byte);
-                variants.push(inserted);
-            }
+            let variants = rng.mutants(line.as_bytes(), 4, &[b"\\", b"\"", b"{", b"["]);
             for variant in variants {
                 if let Ok(event) = TraceEvent::from_json(&String::from_utf8_lossy(&variant)) {
                     let _ = event.to_json();
