@@ -119,6 +119,31 @@ fn validate_rejects_a_broken_schedule() {
 }
 
 #[test]
+fn validate_rejects_trailing_input_after_the_schedule() {
+    let problem = write_temp("p14.pasdl", PROBLEM);
+    let out = run(&[
+        "schedule",
+        problem.to_str().unwrap(),
+        "--quiet",
+        "--emit-schedule",
+    ]);
+    assert!(out.status.success());
+    let emitted = String::from_utf8(out.stdout).unwrap();
+    let schedule = write_temp("s14.pasdl", &format!("{emitted}trailing junk here\n"));
+    let v = run(&[
+        "validate",
+        problem.to_str().unwrap(),
+        schedule.to_str().unwrap(),
+    ]);
+    assert!(!v.status.success());
+    let stderr = String::from_utf8(v.stderr).unwrap();
+    assert!(
+        stderr.contains("trailing input after the schedule block"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn print_round_trips_the_problem() {
     let problem = write_temp("p4.pasdl", PROBLEM);
     let out = run(&["print", problem.to_str().unwrap()]);

@@ -26,7 +26,7 @@ use crate::units::TimeSpan;
 /// Why an edge exists. The solver treats all kinds identically (the
 /// inequality is the same); the kind is kept for diagnostics, undo
 /// bookkeeping, chart annotation and DOT export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum EdgeKind {
     /// A user-specified minimum timing separation (includes plain

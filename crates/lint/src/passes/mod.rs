@@ -102,6 +102,14 @@ impl PathFindings {
         let mut separations: Vec<(EdgeId, NodeId, TimeSpan)> = Vec::new();
         // (partner, its bit in `reaches_overlap`)
         let mut partners: Vec<(TaskId, usize)> = Vec::new();
+        // Tasks by ascending draw: the partners whose draw, added to a
+        // source's and the background, exceeds `P_max` are a suffix.
+        let mut by_power: Vec<TaskId> = Vec::new();
+        if pairwise {
+            by_power.extend(graph.task_ids());
+            by_power.sort_unstable_by_key(|&v| graph.task(v).power());
+        }
+        let p_max = problem.constraints().p_max();
 
         for s in (0..graph.num_nodes()).map(node_by_index) {
             let pi_s = search.potential(s);
@@ -120,15 +128,19 @@ impl PathFindings {
             }
             partners.clear();
             if let Some(u) = s.task().filter(|_| pairwise) {
-                for v in graph.task_ids() {
+                // The pairs `PAS020` or `PAS030` may report: the draws
+                // that bust `P_max` with `u`'s, then the rest of `u`'s
+                // resource.
+                let fits = |v: TaskId| combined_power(problem, u, v) <= p_max;
+                let heavy = by_power.partition_point(|&v| fits(v));
+                let rest_of_resource = graph
+                    .tasks_on(graph.task(u).resource())
+                    .filter(|&v| fits(v));
+                for v in by_power[heavy..].iter().copied().chain(rest_of_resource) {
                     let pi_v = search.potential(v.node());
                     let c = -graph.task(v).delay() - pi_v + pi_s;
                     let back = -graph.task(u).delay() - pi_s + pi_v;
-                    if c < TimeSpan::ZERO
-                        && back < TimeSpan::ZERO
-                        && v != u
-                        && overlap_reportable(problem, u, v)
-                    {
+                    if c < TimeSpan::ZERO && back < TimeSpan::ZERO && v != u {
                         partners.push((v, u.index() * n + v.index()));
                         cutoff = cutoff.min(c);
                     }
@@ -164,13 +176,6 @@ impl PathFindings {
             forced_pairs,
         }
     }
-}
-
-/// `true` when `PAS030` (same resource) or `PAS020` (summed draw over
-/// `P_max`) would report the pair if it were forced to overlap.
-fn overlap_reportable(problem: &Problem, u: TaskId, v: TaskId) -> bool {
-    let graph = problem.graph();
-    graph.same_resource(u, v) || combined_power(problem, u, v) > problem.constraints().p_max()
 }
 
 /// The draw of `u` and `v` running together over the background.

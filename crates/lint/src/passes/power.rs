@@ -170,8 +170,7 @@ pub(super) fn check_utilization(
     }
     let bound = Ratio::new(num, den);
     let (thr_num, thr_den) = UTILIZATION_WARN_BELOW;
-    // bound < threshold, compared exactly by cross-multiplication.
-    if bound.numerator() * thr_den < thr_num * bound.denominator() {
+    if bound < Ratio::new(thr_num, thr_den) {
         report.push(
             Diagnostic::new(
                 LintCode::HopelessUtilization,

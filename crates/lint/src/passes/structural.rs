@@ -5,8 +5,7 @@ use crate::diag::{Applicability, Diagnostic, LintCode, LintReport, Severity};
 use crate::span::SpanTable;
 use pas_core::Problem;
 use pas_graph::units::{Power, TimeSpan};
-use pas_graph::EdgeKind;
-use std::collections::HashMap;
+use pas_graph::EdgeId;
 
 pub(super) fn check(problem: &Problem, spans: &SpanTable, report: &mut LintReport) {
     let graph = problem.graph();
@@ -93,8 +92,24 @@ pub(super) fn check(problem: &Problem, spans: &SpanTable, report: &mut LintRepor
         }
     }
 
-    // PAS002 self-loops and PAS003 exact duplicates.
-    let mut seen: HashMap<(u32, u32, EdgeKind, i64), pas_graph::EdgeId> = HashMap::new();
+    // PAS003 exact duplicates: sort the `(from, to, kind, weight)` keys
+    // of the edges that are no self-loop; the first edge declared in a
+    // group of equal keys is its smallest id.
+    let mut keys: Vec<_> = graph
+        .edges()
+        .filter(|(_, e)| e.from() != e.to())
+        .map(|(id, e)| ((e.from(), e.to(), e.kind(), e.weight()), id))
+        .collect();
+    keys.sort_unstable();
+    let mut first_of: Vec<Option<EdgeId>> = vec![None; graph.num_edges()];
+    for pair in keys.windows(2) {
+        let ((prev_key, prev), (key, id)) = (pair[0], pair[1]);
+        if prev_key == key {
+            first_of[id.index()] = Some(first_of[prev.index()].unwrap_or(prev));
+        }
+    }
+
+    // PAS002 self-loops and PAS003 duplicates, in edge-id order.
     for (id, e) in graph.edges() {
         if e.from() == e.to() {
             let positive = e.weight() > TimeSpan::ZERO;
@@ -119,13 +134,7 @@ pub(super) fn check(problem: &Problem, spans: &SpanTable, report: &mut LintRepor
             report.push(d);
             continue;
         }
-        let key = (
-            e.from().index() as u32,
-            e.to().index() as u32,
-            e.kind(),
-            e.weight().as_secs(),
-        );
-        if let Some(first) = seen.get(&key) {
+        if let Some(first) = first_of[id.index()] {
             report.push(
                 Diagnostic::new(
                     LintCode::DuplicateEdge,
@@ -138,12 +147,10 @@ pub(super) fn check(problem: &Problem, spans: &SpanTable, report: &mut LintRepor
                     ),
                 )
                 .with_span(spans.edge(id), "duplicate here")
-                .with_span(spans.edge(*first), "first declared here")
+                .with_span(spans.edge(first), "first declared here")
                 .with_suggestion("delete one of the two identical constraints")
                 .with_fix(spans.edge(id), "", Applicability::MachineApplicable),
             );
-        } else {
-            seen.insert(key, id);
         }
     }
 }

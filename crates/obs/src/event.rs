@@ -818,7 +818,7 @@ name_wire!(StageKind, ScanKind, SlotKind);
 /// Exact rationals as `"num/den"` strings, so no precision is lost.
 impl Wire for Ratio {
     fn put(&self, key: &str, out: &mut String) {
-        let (num, den) = (self.numerator(), self.denominator());
+        let (num, den) = self.reduced();
         let _ = write!(out, ",\"{key}\":\"{num}/{den}\"");
     }
     fn take(key: &str, members: &mut Members<'_>) -> Option<Self> {

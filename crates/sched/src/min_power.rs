@@ -154,6 +154,15 @@ pub fn improve_gaps_observed<O: Observer>(
     let incremental = config.incremental && current_profile.spikes(p_max).is_empty();
     let mut used = free_energy_used(&current_profile, p_min);
     let mut slacks = pas_core::slacks(graph, &sigma);
+    // Dense per-task reads for the candidate scan: delays and powers
+    // never change, and `ends` follows every accepted move on both
+    // paths.
+    let delays: Vec<TimeSpan> = graph.tasks().map(|(_, task)| task.delay()).collect();
+    let powers: Vec<Power> = graph.tasks().map(|(_, task)| task.power()).collect();
+    let mut ends: Vec<Time> = sigma
+        .iter()
+        .map(|(v, start)| start + delays[v.index()])
+        .collect();
 
     // Passes sweep the full cross product of scan orders × slot
     // policies ("we scan the schedule multiple times while altering
@@ -217,25 +226,23 @@ pub fn improve_gaps_observed<O: Observer>(
                 });
             }
 
-            // Candidates: started before t but no longer active there
-            // (so finished by t), with enough slack to cover t.
-            let candidates: Vec<TaskId> = graph
-                .task_ids()
-                .filter(|&v| {
-                    let end = sigma.end(v, graph);
-                    end <= t && slacks[v.index()] > t - end
-                })
-                .collect();
-
+            // Candidates, in id order: started before t but no longer
+            // active there (so finished by t), with enough slack to
+            // cover t. The scan stops at the first accepted move.
             let mut accepted = false;
-            for v in candidates {
-                let slack_v = slacks[v.index()];
+            for i in 0..ends.len() {
+                let (end, slack_v) = (ends[i], slacks[i]);
+                if end > t || slack_v <= t - end {
+                    continue;
+                }
+                let v = TaskId::from_index(i);
+                let start = sigma.start(v);
                 let delta =
-                    slot_delta(graph, &sigma, v, slack_v, t, gap.end, slot_policy, &mut rng);
+                    slot_delta(start, delays[i], slack_v, t, gap.end, slot_policy, &mut rng);
                 if !delta.is_positive() {
                     continue;
                 }
-                let mv = Candidate::new(graph, &sigma, v, delta);
+                let mv = Candidate::new(v, powers[i], Interval { start, end }, delta);
                 let base = Base {
                     sigma: &sigma,
                     profile: &current_profile,
@@ -268,6 +275,8 @@ pub fn improve_gaps_observed<O: Observer>(
                     });
                 }
                 sigma = sigma.with_delayed(v, delta);
+                ends[i] = end + delta;
+                debug_assert_eq!(ends[i], sigma.end(v, graph));
                 if let Some(moved) = scored.moved {
                     current_profile = moved;
                     used += scored.capped_delta;
@@ -333,15 +342,11 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn new(graph: &ConstraintGraph, sigma: &Schedule, task: TaskId, delta: TimeSpan) -> Self {
-        let from = Interval {
-            start: sigma.start(task),
-            end: sigma.end(task, graph),
-        };
+    fn new(task: TaskId, power: Power, from: Interval, delta: TimeSpan) -> Self {
         Candidate {
             task,
             delta,
-            power: graph.task(task).power(),
+            power,
             from,
             to: Interval {
                 start: from.start + delta,
@@ -490,22 +495,19 @@ fn cycle<T: Copy>(items: &[T], index: usize, default: T) -> T {
     }
 }
 
-/// How far to delay `v` (whose slack is `slack_v`) so that it is
-/// active at `t`, according to the slot policy. Returns a non-positive
-/// span when no admissible slot exists (callers skip the candidate).
-#[allow(clippy::too_many_arguments)]
+/// How far to delay a task starting at `start`, of delay `d_v` and
+/// slack `slack_v`, so that it is active at `t`, according to the slot
+/// policy. Returns a non-positive span when no admissible slot exists
+/// (callers skip the candidate).
 fn slot_delta(
-    graph: &ConstraintGraph,
-    sigma: &Schedule,
-    v: TaskId,
+    start: Time,
+    d_v: TimeSpan,
     slack_v: TimeSpan,
     t: Time,
     gap_end: Time,
     policy: SlotPolicy,
     rng: &mut StdRng,
 ) -> TimeSpan {
-    let start = sigma.start(v);
-    let d_v = graph.task(v).delay();
     // Starts that keep v active at t: (t − d(v), t].
     let earliest = (t - d_v + TimeSpan::from_secs(1)).max(start + TimeSpan::from_secs(1));
     let latest_by_slack = start + slack_v.min(TimeSpan::from_secs(i64::MAX / 4));

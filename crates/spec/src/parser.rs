@@ -549,6 +549,9 @@ fn schedule_body(p: &mut Parser<'_>, problem: &Problem) -> Result<(String, Sched
         }
     }
 
+    if p.peek().is_some() {
+        return p.err("trailing input after the schedule block");
+    }
     let mut resolved = Vec::with_capacity(starts.len());
     for (i, s) in starts.into_iter().enumerate() {
         match s {
@@ -756,6 +759,24 @@ problem "demo" {
         assert!(err.message.contains("no start time"));
         let err = parse_schedule(r#"schedule "s" { start a 0s start a 1s }"#, &p).unwrap_err();
         assert!(err.message.contains("duplicate start"));
+    }
+
+    #[test]
+    fn schedule_rejects_trailing_input() {
+        let p = parse_problem(DEMO).unwrap();
+        let starts = p
+            .graph()
+            .tasks()
+            .map(|(_, task)| format!("start {} 0s", task.name()))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let src = format!("schedule \"s\" {{ {starts} }}");
+        assert!(parse_schedule(&src, &p).is_ok());
+        let err = parse_schedule(&format!("{src}\ntrailing junk here"), &p).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: trailing input after the schedule block"
+        );
     }
 
     #[test]

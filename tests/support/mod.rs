@@ -3,8 +3,10 @@
 
 #![allow(dead_code)]
 
+use impacct::core::{json, Schedule};
 use impacct::graph::units::{Power, Time, TimeSpan};
 use impacct::graph::{ConstraintGraph, Resource, ResourceKind, Task};
+use impacct::obs::TraceEvent;
 
 /// `k` locked 6 W, 2 s tasks back to back, and one free 6 W, 2 s task
 /// tied to a 0 W partner by an exact 2 s separation. Under an 8 W
@@ -65,4 +67,66 @@ impl Lcg {
         }
         variants
     }
+}
+
+/// A golden trace: one `to_json` line per event, then one
+/// `{"outcome": …}` line with the schedule's start times or the error.
+pub fn render_trace(events: &[TraceEvent], result: Result<&Schedule, String>) -> String {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&event.to_json());
+        out.push('\n');
+    }
+    match result {
+        Ok(sigma) => {
+            let starts: Vec<String> = sigma.iter().map(|(_, t)| t.as_secs().to_string()).collect();
+            out.push_str(&format!(
+                "{{\"outcome\":\"ok\",\"starts\":[{}]}}\n",
+                starts.join(",")
+            ));
+        }
+        Err(message) => {
+            out.push_str("{\"outcome\":\"error\",\"message\":\"");
+            json::push_escaped(&mut out, &message);
+            out.push_str("\"}\n");
+        }
+    }
+    out
+}
+
+/// One summary line of a rendered trace: event count, byte count,
+/// 64-bit FNV-1a digest and the outcome line.
+pub fn digest(name: &str, trace: &str) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in trace.bytes() {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    let lines: Vec<&str> = trace.lines().collect();
+    format!(
+        "{name} events={} bytes={} fnv1a64={hash:016x} {}\n",
+        lines.len() - 1,
+        trace.len(),
+        lines.last().expect("an outcome line")
+    )
+}
+
+/// The path of a file under `tests/golden/`.
+pub fn golden_path(file: &str) -> String {
+    format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Compares `actual` with the golden `file`, or rewrites the file when
+/// `BLESS` is set.
+pub fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, actual).expect("write golden file");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("golden file exists");
+    assert!(
+        actual == expected,
+        "the trace drifted from {path}; \
+         run with BLESS=1 to regenerate after an intentional change"
+    );
 }
